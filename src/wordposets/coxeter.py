@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import GraphParseError, NotReducedError, SignToleranceError
 
@@ -87,7 +88,8 @@ class CoxeterGraph:
 
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  The Cartan-style matrix and its sparse
-    off-diagonal rows are precomputed for the reflection action.
+    off-diagonal rows are precomputed for the reflection action, and
+    ``commuting[i - 1]`` is the set of generators that commute with i.
     """
 
     def __init__(self, rank, edges=()):
@@ -107,6 +109,8 @@ class CoxeterGraph:
                 raise ValueError(f"conflicting labels for edge ({i}, {j})")
             labels[a][b] = labels[b][a] = m
         self._labels = tuple(tuple(row) for row in labels)
+        self.commuting = tuple(frozenset(j + 1 for j in range(rank) if row[j] == 2)
+                               for row in self._labels)
         self.exact = all(self._labels[i][j] in _EXACT_LABELS
                          for i in range(rank) for j in range(i + 1, rank))
         diag = 2 if self.exact else 2.0
@@ -295,7 +299,11 @@ def identity_columns(graph):
 
 
 def apply_generator(cols, graph, a0):
-    """Right-multiply the column matrix by the reflection of generator a0+1."""
+    """Right-multiply the column matrix by the reflection of generator a0+1.
+
+    Changed columns are replaced by new lists, never mutated, so stepping
+    the shallow copy ``list(cols)`` leaves ``cols`` as it was.
+    """
     ca = cols[a0]
     for j, c in graph.reflection_rows[a0]:
         cols[j] = [x - c * y for x, y in zip(cols[j], ca)]
@@ -311,10 +319,7 @@ def word_columns(graph, word):
 
 def inverse_columns(graph, word):
     """Column matrix of the inverse element (letters processed reversed)."""
-    cols = identity_columns(graph)
-    for a in reversed(word):
-        apply_generator(cols, graph, a - 1)
-    return cols
+    return word_columns(graph, reversed(word))
 
 
 def matrix_key(graph, cols):
@@ -326,17 +331,14 @@ def matrix_key(graph, cols):
     word lengths this package targets.
     """
     if graph.exact:
-        return tuple(x for col in cols for x in col)
-    return tuple(round(x, 6) + 0.0 for col in cols for x in col)
+        return tuple(chain.from_iterable(cols))
+    return tuple(round(x, 6) + 0.0 for x in chain.from_iterable(cols))
 
 
 def _column_sign(graph, col):
-    if graph.exact:
-        pos = any(x > 0 for x in col)
-        neg = any(x < 0 for x in col)
-    else:
-        pos = any(x > TOLERANCE for x in col)
-        neg = any(x < -TOLERANCE for x in col)
+    tol = 0 if graph.exact else TOLERANCE
+    pos = max(col) > tol
+    neg = min(col) < -tol
     if pos and neg:
         raise SignToleranceError(f"root coordinates have mixed signs: {col!r}")
     if not pos and not neg:
@@ -360,11 +362,8 @@ def _reflect(graph, a0, v):
 
 
 def _is_simple_root(graph, v, a0):
-    if graph.exact:
-        return v[a0] == 1 and all(v[j] == 0 for j in range(graph.rank) if j != a0)
-    if abs(v[a0] - 1.0) > TOLERANCE:
-        return False
-    return all(abs(v[j]) <= TOLERANCE for j in range(graph.rank) if j != a0)
+    tol = 0 if graph.exact else TOLERANCE
+    return all(abs(x - (j == a0)) <= tol for j, x in enumerate(v))
 
 
 def _scan_left_deletion(graph, a, word):
@@ -376,8 +375,7 @@ def _scan_left_deletion(graph, a, word):
     next letter, the conjugate of that letter's reflection by the prefix is
     the reflection of a, so the letter cancels against a.
     """
-    v = [0] * graph.rank if graph.exact else [0.0] * graph.rank
-    v[a - 1] = 1 if graph.exact else 1.0
+    v = identity_columns(graph)[a - 1]
     for t, b in enumerate(word):
         if _is_simple_root(graph, v, b - 1):
             return t
@@ -394,19 +392,6 @@ def delete_left_descent(graph, a, word):
     if t is None:
         raise RuntimeError(f"generator {a} is not a left descent of {list(word)}")
     return word[:t] + word[t + 1:]
-
-
-def _delete_right(graph, word, a):
-    """Reduced word for word*a when appending a would shorten; mirror scan
-    of _scan_left_deletion, run from the last letter inward."""
-    v = [0] * graph.rank if graph.exact else [0.0] * graph.rank
-    v[a - 1] = 1 if graph.exact else 1.0
-    for t in range(len(word) - 1, -1, -1):
-        b = word[t]
-        if _is_simple_root(graph, v, b - 1):
-            return word[:t] + word[t + 1:]
-        v = _reflect(graph, b - 1, v)
-    raise RuntimeError(f"appending {a} to {list(word)} does not shorten it")
 
 
 def shortest_non_reduced_prefix(graph, word):
@@ -440,7 +425,8 @@ def element_of(graph, word):
 
     Letters are folded in left to right while keeping the accumulator
     reduced: a letter that would lengthen is appended, one that would
-    shorten cancels a letter found by the deletion scan instead.
+    shorten cancels a letter found by the deletion scan instead, run on the
+    reversed word since out*a is the inverse of a*out^-1.
     """
     word = _check_word(graph, word)
     out = ()
@@ -448,10 +434,9 @@ def element_of(graph, word):
     for a in word:
         if _column_sign(graph, cols[a - 1]) > 0:
             out = out + (a,)
-            apply_generator(cols, graph, a - 1)
         else:
-            out = _delete_right(graph, out, a)
-            cols = word_columns(graph, out)
+            out = delete_left_descent(graph, a, out[::-1])[::-1]
+        apply_generator(cols, graph, a - 1)
     return out
 
 
@@ -482,17 +467,17 @@ def canonical_form(graph, word) -> CanonicalElement:
     """Lexicographically least reduced word of the element of ``word``.
 
     Greedy: a reduced word can start with generator a exactly when a is a
-    left descent, so emitting the smallest descent and recursing on the
-    shortened element is lexicographically optimal at every step.  The
+    left descent, so emitting the smallest descent and stepping the inverse
+    column matrix past it is lexicographically optimal at every step.  The
     result is a total invariant: two reduced words get the same canonical
     form iff they represent the same element.
     """
     word = _check_word(graph, word)
     _require_reduced(graph, word)
+    cols = inverse_columns(graph, word)
     out = []
-    while word:
-        cols = inverse_columns(graph, word)
-        a = min(descents_from_inverse(graph, cols))
+    for _ in word:
+        a = descents_from_inverse(graph, cols)[0]
         out.append(a)
-        word = delete_left_descent(graph, a, word)
+        apply_generator(cols, graph, a - 1)
     return CanonicalElement(tuple(out))

@@ -21,17 +21,11 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .coxeter import (
-    CoxeterGraph,
-    INFINITY,
-    apply_generator,
-    canonical_form,
-    identity_columns,
-    matrix_key,
-    _column_sign,
-)
+from .coxeter import CoxeterGraph, INFINITY, canonical_form
+# unused here, but bench/tracing.py requires these bindings in this module
+from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
-from .reduced import ClassCounter, count_classes
+from .reduced import ClassCounter, _levels, count_classes
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -165,41 +159,29 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     """Per length, the largest class count over elements supported on every
     generator of the graph, with the canonical witness word.
 
-    Elements are grown by prepending non-descent generators, deduplicated
-    by the exact matrix of the inverse; the inverse matrix also answers the
-    descent test, so each extension is one sparse column update.
+    Elements are grown level by level (``_levels``), skipping children whose
+    support can no longer reach every generator within ``max_len``; each
+    kept extension spends one budget step.  The counter reads the inverse
+    column matrix the growth already holds.
     """
     n = graph.rank
     counter = ClassCounter(graph, memo_cap=memo_cap)
-    cols0 = identity_columns(graph)
-    pool = {matrix_key(graph, cols0): ((), cols0, frozenset())}
+
+    def admit(word, a):
+        if len(set(word).union((a,))) + max_len - len(word) - 1 < n:
+            return False
+        ticker.spend()
+        return True
+
     best = {}
-    for length in range(1, max_len + 1):
-        nxt = {}
-        for w, cols, supp in pool.values():
-            for a in graph.generators:
-                a0 = a - 1
-                if _column_sign(graph, cols[a0]) < 0:
-                    continue
-                supp2 = supp | {a}
-                if len(supp2) + (max_len - length) < n:
-                    continue
-                ticker.spend()
-                cols2 = [list(col) for col in cols]
-                apply_generator(cols2, graph, a0)
-                nxt.setdefault(matrix_key(graph, cols2), ((a,) + w, cols2, supp2))
-        pool = nxt
-        for w, cols, supp in pool.values():
-            if len(supp) != n:
+    for level in _levels(graph, max_len, admit):
+        for word, cols in level.values():
+            if len(set(word)) != n:
                 continue
-            c = counter.count(w)
-            cur = best.get(length)
-            if cur is None or c > cur[0]:
-                best[length] = (c, canonical_form(graph, w).word)
-            elif c == cur[0]:
-                cw = canonical_form(graph, w).word
-                if cw < cur[1]:
-                    best[length] = (c, cw)
+            c = counter.count_state(cols)
+            cur = best.get(len(word))
+            if cur is None or c > cur[0] or (c == cur[0] and word < cur[1]):
+                best[len(word)] = (c, word)
     return best
 
 

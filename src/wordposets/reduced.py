@@ -6,7 +6,8 @@ of those posets by recursion on left descents, counts the classes by an
 inclusion-exclusion recursion that never materializes the posets, counts
 the reduced words themselves as linear extensions, and cross-checks all of
 it against a breadth-first oracle that applies commutation and braid moves
-directly.
+directly.  Both recursions share one engine, ``_evaluate``, which steps
+an element's inverse column matrix one generator at a time.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -20,11 +21,12 @@ from .alphabet import CommutationAlphabet
 from .coxeter import (
     CanonicalElement,
     INFINITY,
+    apply_generator,
     canonical_form,
-    delete_left_descent,
+    delete_left_descent,  # noqa: F401 -- unused; bench/tracing.py wraps this binding
     descents_from_inverse,
+    identity_columns,
     inverse_columns,
-    left_descents,
     matrix_key,
     _check_word,
     _require_reduced,
@@ -65,20 +67,58 @@ class WPSet:
 
 
 def _independent_subsets(graph, descents):
-    """Nonempty pairwise-commuting subsets of ``descents``, members ascending."""
-    ds = sorted(descents)
+    """Nonempty pairwise-commuting subsets of ``descents``, members ascending;
+    each subset comes after the one without its last member."""
+    commuting = graph.commuting
     out = []
-
-    def extend(prefix, start):
-        for idx in range(start, len(ds)):
-            a = ds[idx]
-            if all(graph.commutes(b, a) for b in prefix):
-                cur = prefix + (a,)
-                out.append(cur)
-                extend(cur, idx + 1)
-
-    extend((), 0)
+    stack = [((), sorted(descents))]
+    while stack:
+        prefix, candidates = stack.pop()
+        for i, a in enumerate(candidates):
+            t = prefix + (a,)
+            out.append(t)
+            rest = [b for b in candidates[i + 1:] if b in commuting[a - 1]]
+            if rest:
+                stack.append((t, rest))
     return out
+
+
+def _evaluate(graph, cols, memo, cap, what, moves, combine, leaf):
+    """Value of the element whose inverse column matrix is ``cols``.
+
+    ``moves(descents)`` lists tuples T of left descents, each one letter
+    longer than an earlier one or ``()``, so the child Tw is one generator
+    step from a known state.  ``combine`` folds [(T, value of Tw)] into the
+    value of w; the identity gets ``leaf``.  An explicit stack evaluates
+    children first (no Python recursion, so no depth limit); values are
+    memoized under ``matrix_key``, at most ``cap`` entries.
+    """
+    root = matrix_key(graph, cols)
+    stack = [(root, cols, None)]
+    while stack:
+        key, cols, edges = stack.pop()
+        if key in memo:
+            continue
+        if edges is None:
+            states = {(): cols}
+            edges, pending = [], []
+            for t in moves(descents_from_inverse(graph, cols)):
+                child = list(states[t[:-1]])
+                apply_generator(child, graph, t[-1] - 1)
+                states[t] = child
+                child_key = matrix_key(graph, child)
+                edges.append((t, child_key))
+                if child_key not in memo:
+                    pending.append((child_key, child, None))
+            if pending:
+                stack.append((key, cols, edges))
+                stack.extend(reversed(pending))
+                continue
+        value = combine([(t, memo[k]) for t, k in edges]) if edges else leaf
+        if len(memo) >= cap:
+            raise BudgetError(f"{what} memo exceeds {cap} entries")
+        memo[key] = value
+    return memo[root]
 
 
 class ClassCounter:
@@ -107,27 +147,14 @@ class ClassCounter:
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
         already be a reduced tuple over the counter's graph."""
+        return self.count_state(inverse_columns(self.graph, word))
+
+    def count_state(self, cols) -> int:
+        """``count`` for the element with inverse column matrix ``cols``."""
         graph = self.graph
-        cols = inverse_columns(graph, word)
-        key = matrix_key(graph, cols)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if not word:
-            total = 1
-        else:
-            total = 0
-            descents = descents_from_inverse(graph, cols)
-            for t_set in _independent_subsets(graph, descents):
-                shorter = word
-                for a in t_set:
-                    shorter = delete_left_descent(graph, a, shorter)
-                term = self.count(shorter)
-                total += term if len(t_set) % 2 else -term
-        if len(self._memo) >= self.memo_cap:
-            raise BudgetError(f"class-count memo exceeds {self.memo_cap} entries")
-        self._memo[key] = total
-        return total
+        return _evaluate(graph, cols, self._memo, self.memo_cap, "class-count",
+                         lambda ds: _independent_subsets(graph, ds),
+                         lambda terms: sum(v if len(t) % 2 else -v for t, v in terms), 1)
 
 
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
@@ -150,30 +177,17 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     _require_reduced(graph, word)
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     alphabet = CommutationAlphabet.from_coxeter(graph)
-    empty = WordPoset((), ())
-    memo = {}
 
-    def build(w):
-        cols = inverse_columns(graph, w)
-        key = matrix_key(graph, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not w:
-            result = {(): empty}
-        else:
-            result = {}
-            for a in descents_from_inverse(graph, cols):
-                shorter = delete_left_descent(graph, a, w)
-                for p in build(shorter).values():
-                    q = adjoin_min(p, a, alphabet)
-                    result.setdefault(canonical_word(q, alphabet), q)
-        if len(memo) >= cap:
-            raise BudgetError(f"word-poset memo exceeds {cap} entries")
-        memo[key] = result
+    def adjoin(terms):
+        result = {}
+        for (a,), child in terms:
+            for p in child.values():
+                q = adjoin_min(p, a, alphabet)
+                result.setdefault(canonical_word(q, alphabet), q)
         return result
 
-    posets = build(word)
+    posets = _evaluate(graph, inverse_columns(graph, word), {}, cap, "word-poset",
+                       lambda ds: [(a,) for a in ds], adjoin, {(): WordPoset((), ())})
     return WPSet(element=canonical_form(graph, word),
                  posets=dict(sorted(posets.items())))
 
@@ -271,24 +285,43 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
+def _levels(graph, max_length=None, admit=lambda word, a: True):
+    """Group elements level by level: per length, a dict from matrix_key to
+    (canonical word, inverse column matrix).
+
+    Each level prepends to the previous one the non-descent generators a
+    that ``admit(word, a)`` allows, one generator step per child.  The
+    canonical word of a child starts with its smallest left descent a and
+    continues with the canonical word of a*child, so each child keeps the
+    candidate with the smallest first letter.
+    """
+    cols = identity_columns(graph)
+    level = {matrix_key(graph, cols): ((), cols)}
+    length = 0
+    while level:
+        yield level
+        if max_length is not None and length >= max_length:
+            return
+        nxt = {}
+        for w, cols in level.values():
+            ds = descents_from_inverse(graph, cols)
+            for a in graph.generators:
+                if a in ds or not admit(w, a):
+                    continue
+                child = list(cols)
+                apply_generator(child, graph, a - 1)
+                key = matrix_key(graph, child)
+                cur = nxt.get(key)
+                if cur is None or a < cur[0][0]:
+                    nxt[key] = ((a,) + w, child)
+        level = nxt
+        length += 1
+
+
 def iter_elements(graph, max_length: int | None = None):
     """Canonical reduced words of group elements, by length then lex order.
 
-    Each level prepends non-descent generators to the previous level and
-    canonicalizes.  Without ``max_length`` this terminates only when the
-    group is finite.
+    Without ``max_length`` this terminates only when the group is finite.
     """
-    level = {()}
-    length = 0
-    while level:
-        yield from sorted(level)
-        if max_length is not None and length >= max_length:
-            return
-        nxt = set()
-        for w in level:
-            ds = left_descents(graph, w)
-            for a in graph.generators:
-                if a not in ds:
-                    nxt.add(canonical_form(graph, (a,) + w).word)
-        level = nxt
-        length += 1
+    for level in _levels(graph, max_length):
+        yield from sorted(w for w, _cols in level.values())

@@ -274,3 +274,27 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "count-classes" in out
+
+
+# ------------------------------------------------------ long-word probes
+
+# (1 2)^1500 is reduced in the rank-2 group with label inf; every prefix has
+# a single left descent, so the descent recursion is 3000 levels deep.
+LONG_ALTERNATION = " ".join(["1", "2"] * 1500)
+
+
+def test_count_classes_long_word_has_no_depth_limit(files, capsys):
+    code, out, err = run(capsys, ["count-classes", "--graph", files["inf2.cox"],
+                                  "--word", LONG_ALTERNATION])
+    assert code == 0
+    assert out == "1\n"
+    assert "Traceback" not in err
+
+
+def test_enum_classes_long_word_hits_poset_budget(files, capsys):
+    code, out, err = run(capsys, ["enum-classes", "--graph", files["inf2.cox"],
+                                  "--word", LONG_ALTERNATION])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap is 64" in err
+    assert "Traceback" not in err

@@ -32,7 +32,7 @@ from wordposets import (
     shortest_non_reduced_prefix,
 )
 from wordposets.coxeter import _column_sign, inverse_columns, matrix_key, word_columns
-from wordposets.reduced import iter_elements
+from wordposets.reduced import iter_elements, oracle_reduced
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
 FREE2 = CoxeterGraph(2)  # m(1,2) = 2
@@ -405,3 +405,23 @@ def test_matrix_key_identifies_elements():
         assert ku == kv
         assert matrix_key(g, inverse_columns(g, u[:-1])) != ku
     assert matrix_key(S4, word_columns(S4, ())) == matrix_key(S4, inverse_columns(S4, ()))
+
+
+# ------------------------------------------------- canonical form vs oracle
+
+H3 = CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)])
+AFFINE_A2 = CoxeterGraph(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
+INF_RANK3 = CoxeterGraph(3, [(1, 2, INFINITY), (2, 3, 3)])
+
+
+@pytest.mark.parametrize("graph", [H3, AFFINE_A2, INF_RANK3],
+                         ids=["H3", "affine-A2", "rank3-inf"])
+def test_canonical_form_is_least_reduced_word(graph):
+    # the braid/commutation closure knows nothing of the column state the
+    # canonical form is stepped on
+    assert graph.exact == (graph is not H3)
+    rng = random.Random(61)
+    for _ in range(40):
+        word = element_of(graph, random_word(rng, 3, 10))
+        words, _classes = oracle_reduced(graph, word)
+        assert canonical_form(graph, word).word == min(words)

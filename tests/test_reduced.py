@@ -202,3 +202,16 @@ def test_reduced_word_count_equals_extension_sum():
         wps = wp_set(S4, word)
         assert count_reduced_words(S4, word) == sum(
             count_linear_extensions(p) for p in wps)
+
+
+H3 = CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)])
+
+
+@pytest.mark.parametrize("graph,order", [(B3, 48), (H3, 120)], ids=["B3", "H3"])
+def test_class_count_invariant_under_inversion(graph, order):
+    # reversing a reduced word gives a reduced word of the inverse and maps
+    # commutation classes onto commutation classes, so C(w) = C(w^-1)
+    elements = list(iter_elements(graph))
+    assert len(elements) == order
+    for word in elements:
+        assert count_classes(graph, word) == count_classes(graph, word[::-1])
