@@ -293,7 +293,8 @@ def _levels(graph, max_length=None, admit=lambda word, a: True):
     that ``admit(word, a)`` allows, one generator step per child.  The
     canonical word of a child starts with its smallest left descent a and
     continues with the canonical word of a*child, so each child keeps the
-    candidate with the smallest first letter.
+    candidate with the smallest first letter; this needs ``admit`` to treat
+    alike every pair that yields the same child.
     """
     cols = identity_columns(graph)
     level = {matrix_key(graph, cols): ((), cols)}
@@ -319,9 +320,7 @@ def _levels(graph, max_length=None, admit=lambda word, a: True):
 
 
 def iter_elements(graph, max_length: int | None = None):
-    """Canonical reduced words of group elements, by length then lex order.
-
-    Without ``max_length`` this terminates only when the group is finite.
-    """
+    """Canonical reduced words of group elements, by length then lex order;
+    without ``max_length`` this terminates only when the group is finite."""
     for level in _levels(graph, max_length):
         yield from sorted(w for w, _cols in level.values())
