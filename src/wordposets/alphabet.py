@@ -79,9 +79,8 @@ class CommutationAlphabet:
     @classmethod
     def from_coxeter(cls, graph) -> "CommutationAlphabet":
         """Generator indices 1..rank; i and j commute iff their edge label is 2."""
-        gens = range(1, graph.rank + 1)
-        pairs = [(i, j) for i in gens for j in gens if i < j and graph.label(i, j) == 2]
-        return cls(tuple(gens), pairs)
+        pairs = [(i, j) for i in graph.generators for j in graph.commuting[i - 1] if i < j]
+        return cls(tuple(graph.generators), pairs)
 
 
 def parse_alphabet(text: str) -> CommutationAlphabet:

@@ -191,7 +191,8 @@ def _parse_graph_json(text):
     if not isinstance(data, dict) or "rank" not in data:
         raise GraphParseError("JSON graph must be an object with a 'rank' key")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    # JSON true/false load as bool, which Python counts as int
+    if type(rank) is not int or rank < 1:
         raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
     edges = {}
     for entry in data.get("edges", []):
@@ -200,8 +201,8 @@ def _parse_graph_json(text):
         i, j, m = entry
         if m == "inf":
             m = INFINITY
-        if not isinstance(i, int) or not isinstance(j, int) or \
-                (m != INFINITY and not isinstance(m, int)):
+        if type(i) is not int or type(j) is not int or \
+                (m != INFINITY and type(m) is not int):
             raise GraphParseError(f"edge entry {entry!r} must hold integers or 'inf'")
         _check_edge(rank, i, j, m, f"edge {entry!r}")
         key = (min(i, j), max(i, j))

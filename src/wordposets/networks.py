@@ -309,23 +309,14 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     allow_gap = 2 in label_set
     table = _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap)
 
-    if allow_gap:
-        composed = _compose_parts(table, k, max_rank)
-        if composed is None:
-            raise ValueError(f"no element of length {k} within the search space")
-        value, parts = composed
-    else:
+    if not allow_gap:
         # without label 2 nothing commutes across parts, so one connected
         # support must carry the whole length
-        best = None
-        for (r, length), (c, _g, _w) in table.items():
-            if length == k and (best is None or c > best[0] or
-                                (c == best[0] and r < best[1])):
-                best = (c, r)
-        if best is None:
-            raise ValueError(f"no element of length {k} within the search space")
-        value, parts = best[0], ((best[1], k),)
-
+        table = {key: entry for key, entry in table.items() if key[1] == k}
+    composed = _compose_parts(table, k, max_rank)
+    if composed is None:
+        raise ValueError(f"no element of length {k} within the search space")
+    value, parts = composed
     graph, word = _combine_witness(table, parts)
     word = canonical_form(graph, word).word
     return SearchResult(value, graph, word)

@@ -73,7 +73,7 @@ def test_criterion_1_sorting_network_sequence():
 
 @pytest.mark.skipif(not os.environ.get("WORDPOSETS_STRETCH"),
                     reason="set WORDPOSETS_STRETCH=1 to run the 9-wire count "
-                           "(a few minutes)")
+                           "(about a minute)")
 def test_criterion_1_stretch_nine_wires():
     value = p_n(9)
     _report("criterion 1 stretch (9-wire count)", value == 112018190,

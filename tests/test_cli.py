@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -298,3 +302,39 @@ def test_enum_classes_long_word_hits_poset_budget(files, capsys):
     assert out == ""
     assert err.startswith("error:") and "cap is 64" in err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------ many calls, one process
+
+def _python(code, *argv):
+    """Exit code, stdout and stderr of ``code`` run in a fresh interpreter."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+RUN_ALONE = "import sys; from wordposets import cli; sys.exit(cli.run(sys.argv[1:]))"
+
+
+def test_calls_in_one_process_match_calls_alone(files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    sequence = [
+        ["count-classes", "--graph", files["a2.cox"], "--word", "1 2 1", "--json"],
+        ["count-classes", "--graph", files["a2.cox"], "--word", "1 2 1"],
+        ["poset", "--graph", files["s4.cox"], "--word", "1 3 2", "--format", "dot"],
+        ["poset", "--graph", files["s4.cox"], "--word", "1 3 2"],
+        ["search-mk", "--k", "3", "--labels", "2", "--max-rank", "3"],
+        ["search-mk", "--k", "3"],
+        ["--help"],
+    ]
+    alone = [_python(RUN_ALONE, *argv) for argv in sequence]
+    cli._parser.cache_clear()
+    together = [run(capsys, argv) for argv in sequence]
+    assert together == alone
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_is_not_built_at_import():
+    code = "from wordposets import cli, networks; print(cli._parser.cache_info().misses)"
+    assert _python(code) == (0, "0\n", "")

@@ -177,6 +177,8 @@ def test_graph_json_roundtrip():
     '{"edges": []}',
     '{"rank": 2, "edges": [[1, 2]]}',
     '{"rank": 2, "edges": [[1, 2, 2]]}',
+    '{"rank": true, "edges": []}',
+    '{"rank": 3, "edges": [[true, 2, 3]]}',
 ])
 def test_parse_graph_errors(text):
     with pytest.raises(GraphParseError):
