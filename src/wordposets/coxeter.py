@@ -25,6 +25,13 @@ For labels within {2, 3, 4, 6, infinity} the matrix A can be chosen with
 integer entries, so all of this is exact integer arithmetic.  Other finite
 labels use entries -2 cos(pi/m) and a sign tolerance; an undecidable sign
 raises SignToleranceError rather than guessing.
+
+The counting engines step an element w as a *state* (``*_state`` helpers).
+On the exact path it is the numbers-game vector y_j = <w^{-1} alpha_j, rho>,
+the coordinate sum of column j of w^{-1}: s_b w costs one pass over b's
+neighbours, a is a left descent iff y_a < 0, and y identifies w (rho lies in
+the fundamental chamber, whose points have trivial stabilizers; Tits).  The
+float path keeps the inverse column matrix and both SignToleranceError checks.
 """
 
 from __future__ import annotations
@@ -353,6 +360,42 @@ def descents_from_inverse(graph, cols):
     return [j + 1 for j in range(graph.rank) if _column_sign(graph, cols[j]) < 0]
 
 
+def element_state(graph, word=()):
+    """State of the element of ``word``, the identity by default."""
+    if not graph.exact:
+        return inverse_columns(graph, word)
+    state = (1,) * graph.rank
+    for a in reversed(word):
+        state = step_state(graph, state, a)
+    return state
+
+
+def step_state(graph, state, a):
+    """State of s_a w from the state of w; ``state`` is left as it was."""
+    if not graph.exact:
+        cols = list(state)
+        apply_generator(cols, graph, a - 1)
+        return cols
+    y = list(state)
+    ya = y[a - 1]
+    y[a - 1] = -ya
+    for j, c in graph.reflection_rows[a - 1]:
+        y[j] -= c * ya
+    return tuple(y)
+
+
+def state_key(graph, state):
+    """Hashable identifier of the element held in ``state``."""
+    return state if graph.exact else matrix_key(graph, state)
+
+
+def state_descents(graph, state):
+    """Left descents of the element held in ``state``, ascending."""
+    if graph.exact:
+        return tuple(j for j, y in enumerate(state, 1) if y < 0)
+    return tuple(descents_from_inverse(graph, state))
+
+
 def _reflect(graph, a0, v):
     out = list(v)
     acc = -v[a0]
@@ -446,7 +489,7 @@ def left_descents(graph, word) -> set:
     identity.  Requires a reduced word."""
     word = _check_word(graph, word)
     _require_reduced(graph, word)
-    return set(descents_from_inverse(graph, inverse_columns(graph, word)))
+    return set(state_descents(graph, element_state(graph, word)))
 
 
 def multiply_left(graph, a, word):
@@ -468,17 +511,20 @@ def canonical_form(graph, word) -> CanonicalElement:
     """Lexicographically least reduced word of the element of ``word``.
 
     Greedy: a reduced word can start with generator a exactly when a is a
-    left descent, so emitting the smallest descent and stepping the inverse
-    column matrix past it is lexicographically optimal at every step.  The
-    result is a total invariant: two reduced words get the same canonical
-    form iff they represent the same element.
+    left descent, so emitting the smallest descent and stepping the state
+    past it is lexicographically optimal at every step.  The result is a
+    total invariant: two reduced words get the same canonical form iff they
+    represent the same element.
     """
     word = _check_word(graph, word)
     _require_reduced(graph, word)
-    cols = inverse_columns(graph, word)
+    state = element_state(graph, word)
     out = []
     for _ in word:
-        a = descents_from_inverse(graph, cols)[0]
+        descents = state_descents(graph, state)
+        if not descents:
+            raise SignToleranceError("no left descent read off a non-identity element")
+        a = descents[0]
         out.append(a)
-        apply_generator(cols, graph, a - 1)
+        state = step_state(graph, state, a)
     return CanonicalElement(tuple(out))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .coxeter import CoxeterGraph, INFINITY, canonical_form
-# unused here, but bench/tracing.py requires these bindings in this module
+# not called here; bound for bench/tracing.py's per-layer table
 from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
 from .reduced import ClassCounter, _levels, count_classes
@@ -161,8 +161,8 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
 
     Elements are grown level by level (``_levels``), skipping children whose
     support can no longer reach every generator within ``max_len``; each
-    kept extension spends one budget step.  The counter reads the inverse
-    column matrix the growth already holds.
+    kept extension spends one budget step.  The counter reads the element
+    state the growth already holds.
     """
     n = graph.rank
     counter = ClassCounter(graph, memo_cap=memo_cap)
@@ -175,10 +175,10 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
 
     best = {}
     for level in _levels(graph, max_len, admit):
-        for word, cols in level.values():
+        for word, state in level.values():
             if len(set(word)) != n:
                 continue
-            c = counter.count_state(cols)
+            c = counter.count_state(state)
             cur = best.get(len(word))
             if cur is None or c > cur[0] or (c == cur[0] and word < cur[1]):
                 best[len(word)] = (c, word)

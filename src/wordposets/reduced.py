@@ -7,7 +7,7 @@ inclusion-exclusion recursion that never materializes the posets, counts
 the reduced words themselves as linear extensions, and cross-checks all of
 it against a breadth-first oracle that applies commutation and braid moves
 directly.  Both recursions share one engine, ``_evaluate``, which steps
-an element's inverse column matrix one generator at a time.
+an element's state (see ``coxeter``) one generator at a time.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -15,23 +15,24 @@ The class count obeys a universal bound: for a nonempty reduced word,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .alphabet import CommutationAlphabet
 from .coxeter import (
     CanonicalElement,
     INFINITY,
-    apply_generator,
     canonical_form,
-    delete_left_descent,  # noqa: F401 -- unused; bench/tracing.py wraps this binding
-    descents_from_inverse,
-    identity_columns,
-    inverse_columns,
-    matrix_key,
+    element_state,
+    state_descents,
+    state_key,
+    step_state,
     _check_word,
     _require_reduced,
+    # not called here; bound for bench/tracing.py's per-layer table
+    delete_left_descent, descents_from_inverse, inverse_columns, matrix_key,  # noqa: F401
 )
-from .errors import BudgetError
+from .errors import BudgetError, SignToleranceError
 from .poset import WordPoset, adjoin_min, canonical_word, count_linear_extensions
 
 __all__ = [
@@ -83,35 +84,37 @@ def _independent_subsets(graph, descents):
     return out
 
 
-def _evaluate(graph, cols, memo, cap, what, moves, combine, leaf):
-    """Value of the element whose inverse column matrix is ``cols``.
+def _evaluate(graph, state, memo, cap, what, moves, combine, leaf):
+    """Value of the element held in ``state``.
 
     ``moves(descents)`` lists tuples T of left descents, each one letter
     longer than an earlier one or ``()``, so the child Tw is one generator
     step from a known state.  ``combine`` folds [(T, value of Tw)] into the
-    value of w; the identity gets ``leaf``.  An explicit stack evaluates
-    children first (no Python recursion, so no depth limit); values are
-    memoized under ``matrix_key``, at most ``cap`` entries.
+    value of w; the identity gets ``leaf``, and any other element whose
+    descent read comes back empty raises SignToleranceError.  An explicit
+    stack evaluates children first (no Python recursion, so no depth
+    limit); values are memoized under ``state_key``, at most ``cap`` entries.
     """
-    root = matrix_key(graph, cols)
-    stack = [(root, cols, None)]
+    root = state_key(graph, state)
+    stack = [(root, state, None)]
     while stack:
-        key, cols, edges = stack.pop()
+        key, state, edges = stack.pop()
         if key in memo:
             continue
         if edges is None:
-            states = {(): cols}
+            descents = state_descents(graph, state)
+            if not descents and key != state_key(graph, element_state(graph)):
+                raise SignToleranceError("no left descent read off a non-identity element")
+            states = {(): state}
             edges, pending = [], []
-            for t in moves(descents_from_inverse(graph, cols)):
-                child = list(states[t[:-1]])
-                apply_generator(child, graph, t[-1] - 1)
-                states[t] = child
-                child_key = matrix_key(graph, child)
+            for t in moves(descents):
+                child = states[t] = step_state(graph, states[t[:-1]], t[-1])
+                child_key = state_key(graph, child)
                 edges.append((t, child_key))
                 if child_key not in memo:
                     pending.append((child_key, child, None))
             if pending:
-                stack.append((key, cols, edges))
+                stack.append((key, state, edges))
                 stack.extend(reversed(pending))
                 continue
         value = combine([(t, memo[k]) for t, k in edges]) if edges else leaf
@@ -134,26 +137,26 @@ class ClassCounter:
 
         C(w) = sum over T of (-1)^(len(T)+1) * C(Tw),    C(identity) = 1.
 
-    The memo is keyed by the exact column matrix of the inverse element,
-    which identifies the element itself; entries are capped, with explicit
-    failure on overflow.
+    The memo is keyed by ``state_key``, which identifies the element
+    exactly; entries are capped, with explicit failure on overflow.  The
+    subsets T depend only on D(w), so they are listed once per descent set.
     """
 
     def __init__(self, graph, *, memo_cap: int | None = None):
         self.graph = graph
         self.memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
         self._memo = {}
+        self._subsets = functools.cache(lambda ds: _independent_subsets(graph, ds))
 
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
         already be a reduced tuple over the counter's graph."""
-        return self.count_state(inverse_columns(self.graph, word))
+        return self.count_state(element_state(self.graph, word))
 
-    def count_state(self, cols) -> int:
-        """``count`` for the element with inverse column matrix ``cols``."""
-        graph = self.graph
-        return _evaluate(graph, cols, self._memo, self.memo_cap, "class-count",
-                         lambda ds: _independent_subsets(graph, ds),
+    def count_state(self, state) -> int:
+        """``count`` for the element held in ``state``."""
+        return _evaluate(self.graph, state, self._memo, self.memo_cap, "class-count",
+                         self._subsets,
                          lambda terms: sum(v if len(t) % 2 else -v for t, v in terms), 1)
 
 
@@ -186,7 +189,7 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
                 result.setdefault(canonical_word(q, alphabet), q)
         return result
 
-    posets = _evaluate(graph, inverse_columns(graph, word), {}, cap, "word-poset",
+    posets = _evaluate(graph, element_state(graph, word), {}, cap, "word-poset",
                        lambda ds: [(a,) for a in ds], adjoin, {(): WordPoset((), ())})
     return WPSet(element=canonical_form(graph, word),
                  posets=dict(sorted(posets.items())))
@@ -286,8 +289,8 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
 
 
 def _levels(graph, max_length=None, admit=lambda word, a: True):
-    """Group elements level by level: per length, a dict from matrix_key to
-    (canonical word, inverse column matrix).
+    """Group elements level by level: per length, a dict from state_key to
+    (canonical word, state).
 
     Each level prepends to the previous one the non-descent generators a
     that ``admit(word, a)`` allows, one generator step per child.  The
@@ -296,22 +299,21 @@ def _levels(graph, max_length=None, admit=lambda word, a: True):
     candidate with the smallest first letter; this needs ``admit`` to treat
     alike every pair that yields the same child.
     """
-    cols = identity_columns(graph)
-    level = {matrix_key(graph, cols): ((), cols)}
+    state = element_state(graph)
+    level = {state_key(graph, state): ((), state)}
     length = 0
     while level:
         yield level
         if max_length is not None and length >= max_length:
             return
         nxt = {}
-        for w, cols in level.values():
-            ds = descents_from_inverse(graph, cols)
+        for w, state in level.values():
+            ds = state_descents(graph, state)
             for a in graph.generators:
                 if a in ds or not admit(w, a):
                     continue
-                child = list(cols)
-                apply_generator(child, graph, a - 1)
-                key = matrix_key(graph, child)
+                child = step_state(graph, state, a)
+                key = state_key(graph, child)
                 cur = nxt.get(key)
                 if cur is None or a < cur[0][0]:
                     nxt[key] = ((a,) + w, child)
@@ -323,4 +325,4 @@ def iter_elements(graph, max_length: int | None = None):
     """Canonical reduced words of group elements, by length then lex order;
     without ``max_length`` this terminates only when the group is finite."""
     for level in _levels(graph, max_length):
-        yield from sorted(w for w, _cols in level.values())
+        yield from sorted(w for w, _state in level.values())

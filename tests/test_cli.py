@@ -295,6 +295,19 @@ def test_count_classes_long_word_has_no_depth_limit(files, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["count-classes", "count-reduced", "enum-classes", "check"])
+def test_misread_sign_ends_with_error_line(tmp_path, capsys, command):
+    # float coordinates of (1 2 3)^15 are too coarse to read every descent;
+    # the run must refuse with exit 1, not answer or raise a traceback
+    graph = tmp_path / "h5inf.cox"
+    graph.write_text("generators: 3\nedge: 1 2 5\nedge: 2 3 inf\n")
+    code, out, err = run(capsys, [command, "--graph", str(graph),
+                                  "--word", " ".join(["1 2 3"] * 15)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_enum_classes_long_word_hits_poset_budget(files, capsys):
     code, out, err = run(capsys, ["enum-classes", "--graph", files["inf2.cox"],
                                   "--word", LONG_ALTERNATION])

@@ -31,8 +31,17 @@ from wordposets import (
     parse_graph,
     shortest_non_reduced_prefix,
 )
-from wordposets.coxeter import _column_sign, inverse_columns, matrix_key, word_columns
-from wordposets.reduced import iter_elements, oracle_reduced
+from wordposets.coxeter import (
+    _column_sign,
+    apply_generator,
+    descents_from_inverse,
+    element_state,
+    inverse_columns,
+    matrix_key,
+    state_descents,
+    word_columns,
+)
+from wordposets.reduced import _levels, iter_elements, oracle_reduced
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
 FREE2 = CoxeterGraph(2)  # m(1,2) = 2
@@ -427,3 +436,54 @@ def test_canonical_form_is_least_reduced_word(graph):
         word = element_of(graph, random_word(rng, 3, 10))
         words, _classes = oracle_reduced(graph, word)
         assert canonical_form(graph, word).word == min(words)
+
+
+# ------------------------------------- exact vector state vs column matrix
+
+A4 = CoxeterGraph.type_a(4)
+B4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)])
+D4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)])
+F4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)])
+AFFINE_A3 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (1, 4, 3)])
+RANK4_MIXED = CoxeterGraph(4, [(1, 2, 4), (2, 3, 6), (3, 4, INFINITY), (1, 4, 6)])
+
+
+def _column_level_sizes(graph, max_length):
+    """Elements per length, grown on inverse column matrices and told apart
+    by matrix_key alone."""
+    cols = inverse_columns(graph, ())
+    level = {matrix_key(graph, cols): cols}
+    sizes = []
+    while level and len(sizes) <= max_length:
+        sizes.append(len(level))
+        nxt = {}
+        for cols in level.values():
+            descents = descents_from_inverse(graph, cols)
+            for a in graph.generators:
+                if a not in descents:
+                    child = list(cols)
+                    apply_generator(child, graph, a - 1)
+                    nxt.setdefault(matrix_key(graph, child), child)
+        level = nxt
+    return sizes
+
+
+@pytest.mark.parametrize("graph, max_length, order", [
+    (A4, 100, 120), (B4, 100, 384), (D4, 100, 192), (F4, 100, 1152),
+    (AFFINE_A3, 10, None), (INF_RANK3, 10, None), (RANK4_MIXED, 10, None),
+], ids=["A4", "B4", "D4", "F4", "affine-A3", "rank3-inf", "rank4-4-6-inf"])
+def test_exact_state_matches_column_matrix(graph, max_length, order):
+    # the engine tells elements apart by the n-vector state alone; the
+    # column calculus must see the same elements per length and, for every
+    # canonical word, the same left descents
+    assert graph.exact
+    levels = list(_levels(graph, max_length))
+    sizes = [len(level) for level in levels]
+    assert sizes == _column_level_sizes(graph, max_length)
+    if order is not None:
+        assert sum(sizes) == order
+    for level in levels:
+        for key, (word, state) in level.items():
+            assert key == state == element_state(graph, word)
+            assert state_descents(graph, state) == \
+                tuple(descents_from_inverse(graph, inverse_columns(graph, word)))

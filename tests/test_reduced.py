@@ -9,6 +9,7 @@ from wordposets import (
     CoxeterGraph,
     INFINITY,
     NotReducedError,
+    SignToleranceError,
     bound_check,
     canonical_form,
     count_classes,
@@ -23,6 +24,7 @@ from wordposets import (
     validate,
     wp_set,
 )
+from wordposets import reduced
 from wordposets.reduced import ClassCounter
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
@@ -215,3 +217,28 @@ def test_class_count_invariant_under_inversion(graph, order):
     assert len(elements) == order
     for word in elements:
         assert count_classes(graph, word) == count_classes(graph, word[::-1])
+
+
+def test_empty_descent_read_off_non_identity_raises(monkeypatch):
+    # only the identity has no left descent; reading none elsewhere means a
+    # sign was misread, which must not pass for a leaf of the recursion
+    monkeypatch.setattr(reduced, "state_descents", lambda graph, state: [])
+    with pytest.raises(SignToleranceError):
+        count_classes(S4, W0_S4)
+    with pytest.raises(SignToleranceError):
+        wp_set(S4, W0_S4)
+
+
+H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
+
+
+@pytest.mark.parametrize("k", [10, 15, 20, 25])
+def test_float_path_counts_or_refuses_long_words(k):
+    # float coordinates of (1 2 3)^k grow quickly; once a sign is in doubt
+    # the count must refuse, never run into the memo cap or miscount
+    word = (1, 2, 3) * k
+    try:
+        value = count_classes(H5_INF, word)
+    except SignToleranceError:
+        return
+    assert value == oracle_reduced(H5_INF, word)[1]
