@@ -100,14 +100,15 @@ class CoxeterGraph:
     """
 
     def __init__(self, rank, edges=()):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         self.rank = rank
         labels = [[2] * rank for _ in range(rank)]
         for i in range(rank):
             labels[i][i] = 1
         for i, j, m in edges:
-            if not (1 <= i <= rank and 1 <= j <= rank) or i == j:
+            if type(i) is not int or type(j) is not int or \
+                    not (1 <= i <= rank and 1 <= j <= rank) or i == j:
                 raise ValueError(f"edge ({i}, {j}) out of range for rank {rank}")
             if m != INFINITY and (not isinstance(m, int) or m < 3):
                 raise ValueError(f"edge label must be an integer >= 3 or INFINITY, got {m!r}")
@@ -285,13 +286,13 @@ class CanonicalElement:
 def _check_word(graph, word):
     word = tuple(word)
     for a in word:
-        if not isinstance(a, int) or not 1 <= a <= graph.rank:
+        if type(a) is not int or not 1 <= a <= graph.rank:
             raise ValueError(f"letter {a!r} is not a generator index in 1..{graph.rank}")
     return word
 
 
 def _check_generator(graph, a):
-    if not isinstance(a, int) or not 1 <= a <= graph.rank:
+    if type(a) is not int or not 1 <= a <= graph.rank:
         raise ValueError(f"generator {a!r} out of range 1..{graph.rank}")
 
 
@@ -459,9 +460,12 @@ def is_reduced(graph, word) -> bool:
 
 
 def _require_reduced(graph, word):
+    """``word`` as a tuple of checked letters; raises unless it is reduced."""
+    word = tuple(word)
     prefix = shortest_non_reduced_prefix(graph, word)
     if prefix is not None:
         raise NotReducedError(f"word is not reduced: offending prefix {list(prefix)}")
+    return word
 
 
 def element_of(graph, word):
@@ -487,8 +491,7 @@ def element_of(graph, word):
 def left_descents(graph, word) -> set:
     """D(w) = generators whose left multiple is shorter; empty only for the
     identity.  Requires a reduced word."""
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = _require_reduced(graph, word)
     return set(state_descents(graph, element_state(graph, word)))
 
 
@@ -516,8 +519,7 @@ def canonical_form(graph, word) -> CanonicalElement:
     total invariant: two reduced words get the same canonical form iff they
     represent the same element.
     """
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = _require_reduced(graph, word)
     state = element_state(graph, word)
     out = []
     for _ in word:

@@ -7,7 +7,8 @@ inclusion-exclusion recursion that never materializes the posets, counts
 the reduced words themselves as linear extensions, and cross-checks all of
 it against a breadth-first oracle that applies commutation and braid moves
 directly.  Both recursions share one engine, ``_evaluate``, which steps
-an element's state (see ``coxeter``) one generator at a time.
+an element's state (see ``coxeter``) one generator at a time.  Each poset
+is built once, from its smallest minimal letter (minimal letters commute).
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -22,15 +23,14 @@ from .alphabet import CommutationAlphabet
 from .coxeter import (
     CanonicalElement,
     INFINITY,
-    canonical_form,
     element_state,
     state_descents,
     state_key,
     step_state,
-    _check_word,
     _require_reduced,
     # not called here; bound for bench/tracing.py's per-layer table
-    delete_left_descent, descents_from_inverse, inverse_columns, matrix_key,  # noqa: F401
+    canonical_form, delete_left_descent, descents_from_inverse, inverse_columns,  # noqa: F401
+    matrix_key,  # noqa: F401
 )
 from .errors import BudgetError, SignToleranceError
 from .poset import WordPoset, adjoin_min, canonical_word, count_linear_extensions
@@ -55,8 +55,8 @@ DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
 @dataclass
 class WPSet:
     """The word posets of all commutation classes of reduced words of one
-    element, keyed by canonical class word (so keys are pairwise distinct
-    and iteration order is deterministic)."""
+    element, keyed by canonical class word in ascending order; the element
+    is named by the first key, its lexicographically least reduced word."""
     element: CanonicalElement
     posets: dict = field(default_factory=dict)
 
@@ -163,36 +163,33 @@ class ClassCounter:
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
     """Number of commutation classes of reduced words of the element of the
     reduced word ``word``; equals the size of wp_set without building it."""
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = _require_reduced(graph, word)
     return ClassCounter(graph, memo_cap=memo_cap).count(word)
 
 
 def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     """All word posets of commutation classes of reduced words of ``word``.
 
-    Recursion on left descents: the posets of w are obtained from the
-    posets of each shortened element aw by adjoining a new minimal element
-    labeled a; distinct descents can rebuild the same class, so results
-    are deduplicated by canonical class word.
+    Recursion on left descents: a poset of w is a poset p of a shortened
+    element aw with a new minimal element labeled a, the smallest minimal
+    label.  So p gets a only when no minimal element of p has a label b < a
+    commuting with a (b would stay minimal), and each class is built once.
+    Each reduced word lies in one class, so the least class word names w.
     """
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = _require_reduced(graph, word)
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     alphabet = CommutationAlphabet.from_coxeter(graph)
+    commuting = graph.commuting
 
     def adjoin(terms):
-        result = {}
-        for (a,), child in terms:
-            for p in child.values():
-                q = adjoin_min(p, a, alphabet)
-                result.setdefault(canonical_word(q, alphabet), q)
-        return result
+        return [adjoin_min(p, a, alphabet) for (a,), child in terms for p in child
+                if not any(q == 0 and b < a and b in commuting[a - 1]
+                           for b, q in zip(p.labels, p.preds))]
 
     posets = _evaluate(graph, element_state(graph, word), {}, cap, "word-poset",
-                       lambda ds: [(a,) for a in ds], adjoin, {(): WordPoset((), ())})
-    return WPSet(element=canonical_form(graph, word),
-                 posets=dict(sorted(posets.items())))
+                       lambda ds: [(a,) for a in ds], adjoin, [WordPoset((), ())])
+    posets = dict(sorted((canonical_word(p, alphabet), p) for p in posets))
+    return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
 def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
@@ -237,8 +234,7 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
     inclusion-exclusion machinery, which is the point: this is the oracle
     they are tested against.
     """
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = _require_reduced(graph, word)
     cap = DEFAULT_MAX_REDUCED_WORDS if max_words is None else max_words
     seen = {word}
     frontier = [word]
@@ -280,8 +276,7 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     the comparison is exact integer arithmetic.  Requires a nonempty
     reduced word.
     """
-    word = _check_word(graph, word)
-    _require_reduced(graph, word)
+    word = tuple(word)
     if not word:
         raise ValueError("bound is defined for nonempty words only")
     c = count_classes(graph, word, memo_cap=memo_cap)

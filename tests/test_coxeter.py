@@ -41,7 +41,7 @@ from wordposets.coxeter import (
     state_descents,
     word_columns,
 )
-from wordposets.reduced import _levels, iter_elements, oracle_reduced
+from wordposets.reduced import _levels, count_classes, iter_elements, oracle_reduced
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
 FREE2 = CoxeterGraph(2)  # m(1,2) = 2
@@ -95,6 +95,8 @@ def test_graph_equality_ignores_edge_order():
     (2, [(1, 2, 1)]),
     (2, [(1, 2, 3.5)]),
     (2, [(1, 2, 3), (2, 1, 4)]),
+    (True, []),
+    (3, [(True, 2, 3)]),
 ])
 def test_graph_constructor_rejects(rank, edges):
     with pytest.raises(ValueError):
@@ -215,6 +217,10 @@ def test_word_letter_validation():
         is_reduced(A2, (3,))
     with pytest.raises(ValueError):
         is_reduced(A2, ("1",))
+    with pytest.raises(ValueError):
+        is_reduced(A2, (True,))
+    with pytest.raises(ValueError):
+        count_classes(A2, (True, 2, True))
 
 
 def test_shortest_non_reduced_prefix():
@@ -281,6 +287,8 @@ def test_multiply_left_examples():
 def test_multiply_left_validates_inputs():
     with pytest.raises(ValueError):
         multiply_left(A2, 0, (1,))
+    with pytest.raises(ValueError):
+        multiply_left(A2, True, (1,))
     with pytest.raises(NotReducedError):
         multiply_left(A2, 1, (2, 2))
 

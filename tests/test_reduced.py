@@ -229,6 +229,38 @@ def test_empty_descent_read_off_non_identity_raises(monkeypatch):
         wp_set(S4, W0_S4)
 
 
+@pytest.mark.parametrize("graph,calls", [(S4, 42), (B3, 102), (H3, 427)],
+                         ids=["S4", "B3", "H3"])
+def test_wp_set_builds_each_class_once(graph, calls, monkeypatch):
+    # below the longest element every class of every element but the
+    # identity is one adjoin_min call; a class rebuilt from a second
+    # minimal letter would be counted twice
+    made = []
+    adjoin_min = reduced.adjoin_min
+    monkeypatch.setattr(reduced, "adjoin_min",
+                        lambda *args, **kwargs: made.append(args[1]) or adjoin_min(*args, **kwargs))
+    elements = list(iter_elements(graph))
+    wp_set(graph, elements[-1])
+    assert len(made) == calls == sum(count_classes(graph, u) for u in elements) - 1
+
+
+AFFINE_A2 = CoxeterGraph(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
+
+
+@pytest.mark.parametrize("graph,max_length", [(B3, None), (H3, None), (AFFINE_A2, 7)],
+                         ids=["B3", "H3", "affine-A2"])
+def test_wp_set_class_words_match_oracle(graph, max_length):
+    # the keys are the least words of the commutation classes, ascending,
+    # and the element is named by the least reduced word of all
+    alphabet = CommutationAlphabet.from_coxeter(graph)
+    for word in iter_elements(graph, max_length):
+        words, _ = oracle_reduced(graph, word)
+        wps = wp_set(graph, word)
+        assert list(wps.posets) == sorted(
+            {min(oracle_enumerate_class(v, alphabet)) for v in words})
+        assert wps.element.word == min(words)
+
+
 H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
 
 
