@@ -393,7 +393,7 @@ def state_key(graph, state):
 def state_descents(graph, state):
     """Left descents of the element held in ``state``, ascending."""
     if graph.exact:
-        return tuple(j for j, y in enumerate(state, 1) if y < 0)
+        return tuple([j for j, y in enumerate(state, 1) if y < 0])
     return tuple(descents_from_inverse(graph, state))
 
 

@@ -12,11 +12,13 @@ The module also searches for the largest class count achievable by any
 element of a given length over a restricted family of Coxeter graphs.  The
 search space is exact within its stated limits (label set and maximum
 rank), so results are certified lower bounds for the true maximum and
-equal it whenever the maximizer lies inside the space.
+equal it whenever the maximizer lies inside the space.  Per graph, each
+element is counted in place from the levels grown below it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -25,7 +27,7 @@ from .coxeter import CoxeterGraph, INFINITY, canonical_form
 # not called here; bound for bench/tracing.py's per-layer table
 from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
-from .reduced import ClassCounter, _levels, count_classes
+from .reduced import DEFAULT_MEMO_CAP, _independent_subsets, _levels, count_classes
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -46,7 +48,7 @@ def w0_word(n: int) -> tuple:
     """The staircase reduced word (1)(2,1)(3,2,1)...(n-1,...,1) for the
     longest element of the symmetric group on n points; its length is
     n(n-1)/2."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     out = []
     for top in range(1, n):
@@ -67,7 +69,7 @@ def p_n(n: int, *, memo_cap: int | None = None) -> int:
 
 def p_sequence(n_max: int, *, memo_cap: int | None = None) -> list:
     """[P(1), ..., P(n_max)]."""
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     return [p_n(n, memo_cap=memo_cap) for n in range(1, n_max + 1)]
 
@@ -79,7 +81,7 @@ def limit_lower_bound(m: int, p_m) -> float:
     log P from below, so known large P(m) values can be plugged in without
     recomputation.
     """
-    if not isinstance(m, int) or m < 2:
+    if type(m) is not int or m < 2:
         raise ValueError(f"m must be an integer > 1, got {m!r}")
     if p_m < 1:
         raise ValueError(f"p_m must be at least 1, got {p_m!r}")
@@ -113,14 +115,9 @@ def _pair_order(r):
 def _canonical_labels(r, label_map):
     """Least upper-triangle label tuple over all relabelings of 0..r-1."""
     pairs = _pair_order(r)
-    best = None
-    for perm in permutations(range(r)):
-        key = tuple(
-            label_map[(perm[i], perm[j])] if perm[i] < perm[j] else label_map[(perm[j], perm[i])]
-            for i, j in pairs)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(tuple(
+        label_map[(perm[i], perm[j])] if perm[i] < perm[j] else label_map[(perm[j], perm[i])]
+        for i, j in pairs) for perm in permutations(range(r)))
 
 
 def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
@@ -161,41 +158,55 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
 
     Elements are grown level by level (``_levels``), skipping children whose
     support can no longer reach every generator within ``max_len``; each
-    kept extension spends one budget step.  The counter reads the element
-    state the growth already holds.
+    kept extension spends one budget step.  |supp v| + max_len - len(v)
+    does not drop from u to a suffix v, so suffixes of kept elements are
+    kept and each u is counted in place by ``ClassCounter``'s recursion, with
+    Tu one growth link from T'u (T less its last letter).  |T| <= alpha, the
+    most pairwise-commuting generators: only alpha levels of links and
+    counts are kept.
     """
     n = graph.rank
-    counter = ClassCounter(graph, memo_cap=memo_cap)
+    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
+
+    @functools.cache
+    def terms(ds):
+        # per T: the index of T' among the subsets (0 for ()), T's last letter, -|T|, sign
+        ts = _independent_subsets(graph, ds)
+        at = {t: i for i, t in enumerate(ts, 1)}
+        return [(at.get(t[:-1], 0), t[-1], -len(t), len(t) % 2 * 2 - 1) for t in ts]
+
+    alpha = -min(d for _i, _a, d, _s in terms(frozenset(graph.generators)))
 
     def admit(word, a):
-        if len(set(word).union((a,))) + max_len - len(word) - 1 < n:
+        if len(set(word)) + (a not in word) + max_len - len(word) - 1 < n:
             return False
         ticker.spend()
         return True
 
-    best = {}
-    for level in _levels(graph, max_len, admit):
-        for word, state in level.values():
-            if len(set(word)) != n:
-                continue
-            c = counter.count_state(state)
-            cur = best.get(len(word))
-            if cur is None or c > cur[0] or (c == cur[0] and word < cur[1]):
-                best[len(word)] = (c, word)
-    return best
+    links, counts, best = [], [], {}
+    for level in _levels(graph, max_len, admit, links):
+        down, here, live = links[-1], {}, sum(map(len, counts))
+        for key, (word, _state) in level.items():
+            at, c = [key], 0 if word else 1
+            for i, a, d, sign in terms(frozenset(down[key])):
+                at.append(links[d][at[i]][a])
+                c += sign * counts[d][at[-1]]
+            if live + len(here) >= cap:
+                raise BudgetError(f"class-count memo exceeds {cap} entries")
+            here[key] = c
+            # the most classes first, then the least word
+            if len(set(word)) == n and (-c, word) < best.get(len(word), (0,)):
+                best[len(word)] = (-c, word)
+        counts.append(here)
+        del counts[:-alpha], links[:-alpha]
+    return {length: (-c, word) for length, (c, word) in best.items()}
 
 
 def _diagonal_witness_labels(r, edge_labels, allow_gap):
     """Connected graph carrying a length-r element with all letters distinct:
     a path when absent edges are allowed, a complete graph otherwise."""
     m = min(edge_labels)
-    label_map = {}
-    for i, j in _pair_order(r):
-        if allow_gap:
-            label_map[(i, j)] = m if j == i + 1 else 2
-        else:
-            label_map[(i, j)] = m
-    return tuple(label_map[p] for p in _pair_order(r))
+    return tuple(m if j == i + 1 or not allow_gap else 2 for i, j in _pair_order(r))
 
 
 def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap):
@@ -287,15 +298,15 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     connected components (class counts multiply across commuting parts),
     so the heavy enumeration stops at rank k-1.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     label_set = frozenset(DEFAULT_SEARCH_LABELS if labels is None else labels)
     for m in label_set:
-        if m != INFINITY and (not isinstance(m, int) or m < 2):
+        if m != INFINITY and (type(m) is not int or m < 2):
             raise ValueError(f"labels must be integers >= 2 or INFINITY, got {m!r}")
     if max_rank is None:
         max_rank = k
-    if not isinstance(max_rank, int) or max_rank < 0:
+    if type(max_rank) is not int or max_rank < 0:
         raise ValueError(f"max_rank must be a nonnegative integer, got {max_rank!r}")
     if max_rank > k:
         raise ValueError("max_rank may not exceed k: supports never outgrow the length")

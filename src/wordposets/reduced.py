@@ -7,8 +7,9 @@ inclusion-exclusion recursion that never materializes the posets, counts
 the reduced words themselves as linear extensions, and cross-checks all of
 it against a breadth-first oracle that applies commutation and braid moves
 directly.  Both recursions share one engine, ``_evaluate``, which steps
-an element's state (see ``coxeter``) one generator at a time.  Each poset
-is built once, from its smallest minimal letter (minimal letters commute).
+down from an element's state (see ``coxeter``) one generator at a time;
+``_levels`` steps up from the identity, for the search in ``networks``.
+Each poset is built once, from its smallest minimal letter.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -151,11 +152,8 @@ class ClassCounter:
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
         already be a reduced tuple over the counter's graph."""
-        return self.count_state(element_state(self.graph, word))
-
-    def count_state(self, state) -> int:
-        """``count`` for the element held in ``state``."""
-        return _evaluate(self.graph, state, self._memo, self.memo_cap, "class-count",
+        return _evaluate(self.graph, element_state(self.graph, word), self._memo,
+                         self.memo_cap, "class-count",
                          self._subsets,
                          lambda terms: sum(v if len(t) % 2 else -v for t, v in terms), 1)
 
@@ -283,36 +281,47 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, a: True):
+def _levels(graph, max_length=None, admit=lambda word, a: True, links=None):
     """Group elements level by level: per length, a dict from state_key to
     (canonical word, state).
 
     Each level prepends to the previous one the non-descent generators a
-    that ``admit(word, a)`` allows, one generator step per child.  The
-    canonical word of a child starts with its smallest left descent a and
-    continues with the canonical word of a*child, so each child keeps the
-    candidate with the smallest first letter; this needs ``admit`` to treat
-    alike every pair that yields the same child.
+    that ``admit(word, a)`` allows, one generator step per child; ``admit``
+    must decide per child and keep every suffix of a kept element.  So an
+    element is grown from a*element for each left descent a, and these
+    links {a: key of a*element} must match its one descent read (else
+    SignToleranceError); a list ``links`` gets each level's dict key -> links
+    before the level is yielded.  The canonical word of a child starts with
+    its smallest left descent a and continues with the canonical word of
+    a*child, so each child keeps the candidate with the smallest first letter.
     """
     state = element_state(graph)
     level = {state_key(graph, state): ((), state)}
+    down = {key: {} for key in level}
+    gens = graph.generators
     length = 0
     while level:
+        for key, (_w, state) in level.items():
+            if down[key].keys() != set(state_descents(graph, state)):
+                raise SignToleranceError("descent read disagrees with the growth links")
+        if links is not None:
+            links.append(down)
         yield level
         if max_length is not None and length >= max_length:
             return
-        nxt = {}
-        for w, state in level.values():
-            ds = state_descents(graph, state)
-            for a in graph.generators:
+        nxt, up = {}, {}
+        for key, (w, state) in level.items():
+            ds = down[key]
+            for a in gens:
                 if a in ds or not admit(w, a):
                     continue
                 child = step_state(graph, state, a)
-                key = state_key(graph, child)
-                cur = nxt.get(key)
+                child_key = state_key(graph, child)
+                up.setdefault(child_key, {})[a] = key
+                cur = nxt.get(child_key)
                 if cur is None or a < cur[0][0]:
-                    nxt[key] = ((a,) + w, child)
-        level = nxt
+                    nxt[child_key] = ((a,) + w, child)
+        level, down = nxt, up
         length += 1
 
 

@@ -7,14 +7,18 @@ from wordposets import (
     CoxeterGraph,
     INFINITY,
     SearchResult,
+    SignToleranceError,
     count_classes,
     is_reduced,
+    iter_elements,
     limit_lower_bound,
     p_n,
     p_sequence,
     search_M,
     w0_word,
 )
+from wordposets import coxeter, reduced
+from wordposets.networks import _Ticker, _best_full_support_counts
 
 
 def test_w0_word_examples():
@@ -35,6 +39,10 @@ def test_w0_word_rejects_bad_n():
         w0_word(0)
     with pytest.raises(ValueError):
         w0_word(2.5)
+    with pytest.raises(ValueError):
+        w0_word(True)
+    with pytest.raises(ValueError):
+        p_n(True)
 
 
 def test_p_n_small_values():
@@ -54,6 +62,8 @@ def test_p_sequence_nondecreasing():
 def test_p_sequence_rejects_bad_n():
     with pytest.raises(ValueError):
         p_sequence(0)
+    with pytest.raises(ValueError):
+        p_sequence(True)
 
 
 def test_limit_lower_bound_examples():
@@ -135,11 +145,55 @@ def test_search_input_validation():
         search_M(1, max_rank=0)
     with pytest.raises(ValueError):
         search_M(3, labels={1, 3})
+    with pytest.raises(ValueError):
+        search_M(True)
+    with pytest.raises(ValueError):
+        search_M(3, max_rank=True)
 
 
 def test_search_budget():
     with pytest.raises(BudgetError):
         search_M(5, budget=10)
+
+
+def test_search_memo_cap():
+    with pytest.raises(BudgetError, match="^class-count memo exceeds 3 entries$"):
+        search_M(5, memo_cap=3)
+
+
+@pytest.mark.parametrize("graph,k", [
+    (CoxeterGraph(3, [(1, 2, 3), (2, 3, INFINITY)]), 7),
+    (CoxeterGraph(4, [(1, 2, 4), (2, 3, 6), (3, 4, INFINITY)]), 6),
+    (CoxeterGraph(4, [(1, 2, 3), (1, 3, 4), (1, 4, INFINITY)]), 6),
+    (CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)]), 9),
+    (CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)]), 7),
+], ids=["rank3-3-inf", "rank4-4-6-inf", "star-3-4-inf", "H3", "rank3-5-inf"])
+def test_search_table_matches_brute_force(graph, k):
+    # the counts found in place during the growth must be the ones that
+    # count_classes gives each full-support element, with the least word
+    # among the maximizers as witness (the star has three commuting leaves)
+    expected = {}
+    for word in iter_elements(graph, k):
+        if len(set(word)) == graph.rank:
+            c = count_classes(graph, word)
+            cur = expected.get(len(word))
+            if cur is None or c > cur[0]:
+                expected[len(word)] = (c, word)
+    assert expected
+    assert _best_full_support_counts(graph, k, _Ticker(10 ** 9), None) == expected
+
+
+def test_dropped_descent_read_raises_in_search(monkeypatch):
+    # a descent lost by the read (here only where another one is left, so
+    # the read is never empty) disagrees with the element it was grown
+    # from; the search must refuse rather than count a misread element
+    def read(graph, state):
+        ds = coxeter.state_descents(graph, state)
+        return ds[1:] if len(ds) > 1 else ds
+
+    monkeypatch.setattr(reduced, "state_descents", read)
+    with pytest.raises(SignToleranceError):
+        search_M(4)
 
 
 def test_p_n_never_beats_search():
