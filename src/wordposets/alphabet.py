@@ -22,7 +22,8 @@ class CommutationAlphabet:
 
     A symbol never commutes with itself: two occurrences of the same letter
     are never interchangeable, which is what makes equal-letter occurrences
-    totally ordered inside a word poset.
+    totally ordered inside a word poset.  ``commuting[s]`` is the frozenset
+    of symbols that commute with s.
     """
 
     def __init__(self, symbols, commuting_pairs=()):
@@ -40,6 +41,8 @@ class CommutationAlphabet:
             i, j = self._index[a], self._index[b]
             pairs.add((min(i, j), max(i, j)))
         self._pairs = frozenset(pairs)
+        self.commuting = {s: frozenset(t for t in symbols if self.commutes(s, t))
+                          for s in symbols}
 
     def __contains__(self, symbol):
         return symbol in self._index

@@ -13,12 +13,11 @@ element of a given length over a restricted family of Coxeter graphs.  The
 search space is exact within its stated limits (label set and maximum
 rank), so results are certified lower bounds for the true maximum and
 equal it whenever the maximizer lies inside the space.  Per graph, each
-element is counted in place from the levels grown below it.
+element is counted in place by the counting fold of ``reduced``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -27,7 +26,7 @@ from .coxeter import CoxeterGraph, INFINITY, canonical_form
 # not called here; bound for bench/tracing.py's per-layer table
 from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
-from .reduced import DEFAULT_MEMO_CAP, _independent_subsets, _levels, count_classes
+from .reduced import _count_levels, count_classes
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -160,45 +159,25 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     support can no longer reach every generator within ``max_len``; each
     kept extension spends one budget step.  |supp v| + max_len - len(v)
     does not drop from u to a suffix v, so suffixes of kept elements are
-    kept and each u is counted in place by ``ClassCounter``'s recursion, with
-    Tu one growth link from T'u (T less its last letter).  |T| <= alpha, the
-    most pairwise-commuting generators: only alpha levels of links and
-    counts are kept.
+    kept, and ``_count_levels`` counts each u in place from the levels below.
     """
     n = graph.rank
-    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
 
-    @functools.cache
-    def terms(ds):
-        # per T: the index of T' among the subsets (0 for ()), T's last letter, -|T|, sign
-        ts = _independent_subsets(graph, ds)
-        at = {t: i for i, t in enumerate(ts, 1)}
-        return [(at.get(t[:-1], 0), t[-1], -len(t), len(t) % 2 * 2 - 1) for t in ts]
+    def admit(word, ups):
+        # at slack -1 only a letter that widens the support is kept
+        slack = len(set(word)) + max_len - len(word) - 1 - n
+        if slack < 0:
+            ups = [a for a in ups if a not in word] if slack == -1 else ()
+        ticker.spend(len(ups))
+        return ups
 
-    alpha = -min(d for _i, _a, d, _s in terms(frozenset(graph.generators)))
-
-    def admit(word, a):
-        if len(set(word)) + (a not in word) + max_len - len(word) - 1 < n:
-            return False
-        ticker.spend()
-        return True
-
-    links, counts, best = [], [], {}
-    for level in _levels(graph, max_len, admit, links):
-        down, here, live = links[-1], {}, sum(map(len, counts))
-        for key, (word, _state) in level.items():
-            at, c = [key], 0 if word else 1
-            for i, a, d, sign in terms(frozenset(down[key])):
-                at.append(links[d][at[i]][a])
-                c += sign * counts[d][at[-1]]
-            if live + len(here) >= cap:
-                raise BudgetError(f"class-count memo exceeds {cap} entries")
-            here[key] = c
+    best = {}
+    for level, counts in _count_levels(graph, memo_cap, max_length=max_len, admit=admit):
+        for key, c in counts.items():
+            word = level[key][0]
             # the most classes first, then the least word
             if len(set(word)) == n and (-c, word) < best.get(len(word), (0,)):
                 best[len(word)] = (-c, word)
-        counts.append(here)
-        del counts[:-alpha], links[:-alpha]
     return {length: (-c, word) for length, (c, word) in best.items()}
 
 

@@ -321,9 +321,10 @@ def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,
         raise BudgetError(f"poset would have {m + 1} elements, cap is {max_positions}")
     if symbol not in alphabet:
         raise ValueError(f"symbol {symbol!r} not in alphabet")
+    commuting = alphabet.commuting[symbol]
     above = 0
     for y, s in enumerate(poset.labels):
-        if s == symbol or not alphabet.commutes(s, symbol):
+        if s not in commuting:
             above |= (1 << y) | poset.succs[y]
     xbit = 1 << m
     preds = [p | xbit if above >> y & 1 else p for y, p in enumerate(poset.preds)]

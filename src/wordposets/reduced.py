@@ -6,10 +6,11 @@ of those posets by recursion on left descents, counts the classes by an
 inclusion-exclusion recursion that never materializes the posets, counts
 the reduced words themselves as linear extensions, and cross-checks all of
 it against a breadth-first oracle that applies commutation and braid moves
-directly.  Both recursions share one engine, ``_evaluate``, which steps
-down from an element's state (see ``coxeter``) one generator at a time;
-``_levels`` steps up from the identity, for the search in ``networks``.
-Each poset is built once, from its smallest minimal letter.
+directly.  One loop, ``_levels``, grows elements up from the identity on
+their states (see ``coxeter``): the whole group for ``iter_elements`` and
+the search in ``networks``, or the lower interval [e, w] of one element,
+where both recursions fold bottom-up over the last few levels; the class
+count is ``_count_levels``, also the search's, and each poset is built once.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -69,64 +70,65 @@ class WPSet:
 
 
 def _independent_subsets(graph, descents):
-    """Nonempty pairwise-commuting subsets of ``descents``, members ascending;
-    each subset comes after the one without its last member."""
+    """Nonempty pairwise-commuting subsets T of ``descents`` as the steps
+    (index of T less its last member, 0 for none; last member; -len(T);
+    sign (-1)^(len(T)+1)), indexed from 1, each after the one it extends."""
     commuting = graph.commuting
     out = []
-    stack = [((), sorted(descents))]
+    stack = [(0, 0, sorted(descents))]
     while stack:
-        prefix, candidates = stack.pop()
+        parent, size, candidates = stack.pop()
         for i, a in enumerate(candidates):
-            t = prefix + (a,)
-            out.append(t)
+            out.append((parent, a, -size - 1, 1 - size % 2 * 2))
             rest = [b for b in candidates[i + 1:] if b in commuting[a - 1]]
             if rest:
-                stack.append((t, rest))
+                stack.append((len(out), size + 1, rest))
     return out
 
 
-def _evaluate(graph, state, memo, cap, what, moves, combine, leaf):
-    """Value of the element held in ``state``.
+def _count_levels(graph, memo_cap=None, **growth):
+    """Each level of ``_levels(graph, **growth)`` with the class counts of
+    its elements, C(u) = sum over T of (-1)^(len(T)+1) * C(Tu).
 
-    ``moves(descents)`` lists tuples T of left descents, each one letter
-    longer than an earlier one or ``()``, so the child Tw is one generator
-    step from a known state.  ``combine`` folds [(T, value of Tw)] into the
-    value of w; the identity gets ``leaf``, and any other element whose
-    descent read comes back empty raises SignToleranceError.  An explicit
-    stack evaluates children first (no Python recursion, so no depth
-    limit); values are memoized under ``state_key``, at most ``cap`` entries.
+    T runs over the pairwise-commuting subsets of u's links, listed once per
+    descent set as ``_independent_subsets`` steps; Tu is u's link when
+    len(T) is 1, else one generator step from T'u (T less its last letter).
+    Links are kept for one level and counts for as many as a commuting T can
+    have letters, at most ``memo_cap`` counts at once.
     """
-    root = state_key(graph, state)
-    stack = [(root, state, None)]
-    while stack:
-        key, state, edges = stack.pop()
-        if key in memo:
-            continue
-        if edges is None:
-            descents = state_descents(graph, state)
-            if not descents and key != state_key(graph, element_state(graph)):
-                raise SignToleranceError("no left descent read off a non-identity element")
-            states = {(): state}
-            edges, pending = [], []
-            for t in moves(descents):
-                child = states[t] = step_state(graph, states[t[:-1]], t[-1])
-                child_key = state_key(graph, child)
-                edges.append((t, child_key))
-                if child_key not in memo:
-                    pending.append((child_key, child, None))
-            if pending:
-                stack.append((key, state, edges))
-                stack.extend(reversed(pending))
-                continue
-        value = combine([(t, memo[k]) for t, k in edges]) if edges else leaf
-        if len(memo) >= cap:
-            raise BudgetError(f"{what} memo exceeds {cap} entries")
-        memo[key] = value
-    return memo[root]
+    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
+    terms = functools.cache(lambda ds: _independent_subsets(graph, ds))
+    groups = []  # of pairwise non-commuting generators; T meets each at most once
+    for a in graph.generators:
+        group = next((g for g in groups if not g & graph.commuting[a - 1]), None)
+        if group is None:
+            groups.append(group := set())
+        group.add(a)
+    links, counts, below = [], [], {}
+    for level in _levels(graph, links=links, **growth):
+        down, here, live = links.pop(), {}, sum(map(len, counts))
+        for key, (_w, state) in level.items():
+            link = down[key]
+            states, c = [state], 0 if below else 1
+            for i, a, d, sign in terms(frozenset(link)):
+                if d == -1:
+                    k = link[a]
+                    states.append(below[k][1])
+                else:
+                    states.append(step_state(graph, states[i], a))
+                    k = state_key(graph, states[-1])
+                c += sign * counts[d][k]
+            if live + len(here) >= cap:
+                raise BudgetError(f"class-count memo exceeds {cap} entries")
+            here[key] = c
+        counts.append(here)
+        del counts[:-len(groups)]
+        below = level
+        yield level, here
 
 
 class ClassCounter:
-    """Memoized commutation-class counter for elements of one group.
+    """Commutation-class counter for elements of one group.
 
     Every class of reduced words of w determines the set B of generators
     that can begin a word of the class; B is a nonempty pairwise-commuting
@@ -138,24 +140,25 @@ class ClassCounter:
 
         C(w) = sum over T of (-1)^(len(T)+1) * C(Tw),    C(identity) = 1.
 
-    The memo is keyed by ``state_key``, which identifies the element
-    exactly; entries are capped, with explicit failure on overflow.  The
-    subsets T depend only on D(w), so they are listed once per descent set.
+    ``count`` folds this bottom-up over the lower interval [e, w]
+    (``_count_levels``); ``memo_cap`` bounds the counts held at once in that
+    window.  The counter keeps the value of each word it was asked about.
     """
 
     def __init__(self, graph, *, memo_cap: int | None = None):
         self.graph = graph
         self.memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
-        self._memo = {}
-        self._subsets = functools.cache(lambda ds: _independent_subsets(graph, ds))
+        self._roots = {}
 
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
-        already be a reduced tuple over the counter's graph."""
-        return _evaluate(self.graph, element_state(self.graph, word), self._memo,
-                         self.memo_cap, "class-count",
-                         self._subsets,
-                         lambda terms: sum(v if len(t) % 2 else -v for t, v in terms), 1)
+        already be reduced over the counter's graph."""
+        word = tuple(word)
+        if word not in self._roots:
+            for _level, counts in _count_levels(self.graph, self.memo_cap, word=word):
+                pass
+            (self._roots[word],) = counts.values()
+        return self._roots[word]
 
 
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
@@ -168,24 +171,30 @@ def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
 def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     """All word posets of commutation classes of reduced words of ``word``.
 
-    Recursion on left descents: a poset of w is a poset p of a shortened
-    element aw with a new minimal element labeled a, the smallest minimal
-    label.  So p gets a only when no minimal element of p has a label b < a
-    commuting with a (b would stay minimal), and each class is built once.
-    Each reduced word lies in one class, so the least class word names w.
+    Recursion on left descents, bottom-up over the lower interval: a poset
+    of u is a poset p of a shortened element au with a new minimal element
+    labeled a, the smallest minimal label.  So p gets a only when no minimal
+    element of p has a label b < a commuting with a (b would stay minimal),
+    and each class is built once, keeping two levels of at most ``memo_cap``
+    elements.  Each reduced word lies in one class, so the least class word
+    names w.
     """
     word = _require_reduced(graph, word)
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     alphabet = CommutationAlphabet.from_coxeter(graph)
     commuting = graph.commuting
-
-    def adjoin(terms):
-        return [adjoin_min(p, a, alphabet) for (a,), child in terms for p in child
-                if not any(q == 0 and b < a and b in commuting[a - 1]
-                           for b, q in zip(p.labels, p.preds))]
-
-    posets = _evaluate(graph, element_state(graph, word), {}, cap, "word-poset",
-                       lambda ds: [(a,) for a in ds], adjoin, [WordPoset((), ())])
+    links, below = [], {}
+    for level in _levels(graph, links=links, word=word):
+        down, here = links.pop(), {}
+        for key in level:
+            if len(below) + len(here) >= cap:
+                raise BudgetError(f"word-poset memo exceeds {cap} entries")
+            here[key] = [adjoin_min(p, a, alphabet) for a, k in down[key].items() for p in below[k]
+                         if not any(q == 0 and b < a and b in commuting[a - 1]
+                                    for b, q in zip(p.labels, p.preds))] \
+                if below else [WordPoset((), ())]
+        below = here
+    (posets,) = below.values()
     posets = dict(sorted((canonical_word(p, alphabet), p) for p in posets))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
@@ -281,22 +290,26 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, a: True, links=None):
+def _levels(graph, max_length=None, admit=lambda word, ups: ups, links=None, word=None):
     """Group elements level by level: per length, a dict from state_key to
     (canonical word, state).
 
-    Each level prepends to the previous one the non-descent generators a
-    that ``admit(word, a)`` allows, one generator step per child; ``admit``
-    must decide per child and keep every suffix of a kept element.  So an
-    element is grown from a*element for each left descent a, and these
-    links {a: key of a*element} must match its one descent read (else
-    SignToleranceError); a list ``links`` gets each level's dict key -> links
-    before the level is yielded.  The canonical word of a child starts with
-    its smallest left descent a and continues with the canonical word of
-    a*child, so each child keeps the candidate with the smallest first letter.
+    A child is a*u for a generator a that is not a left descent of u and
+    that ``admit(word, ups)`` keeps of the list ``ups`` of such generators
+    (it must keep every suffix of a kept element).  So each element is grown
+    from a*element for each left descent a, and these links {a: key of
+    a*element} must match its one descent read (else SignToleranceError); a
+    list ``links`` gets each level's dict key -> links before it is yielded.
+    A child's canonical word starts with its smallest left descent.
+
+    Given a reduced ``word`` of w, the levels are the interval [e, w] of its
+    suffixes u, each holding the state of u*w^-1 in place of a word: u grows
+    to a*u exactly when a is a left descent of u*w^-1, and the growth must
+    end at one element after len(word) steps, else SignToleranceError.
     """
     state = element_state(graph)
-    level = {state_key(graph, state): ((), state)}
+    top = None if word is None else element_state(graph, word[::-1])
+    level = {state_key(graph, state): ((), state) if top is None else (top, state)}
     down = {key: {} for key in level}
     gens = graph.generators
     length = 0
@@ -311,16 +324,19 @@ def _levels(graph, max_length=None, admit=lambda word, a: True, links=None):
             return
         nxt, up = {}, {}
         for key, (w, state) in level.items():
-            ds = down[key]
-            for a in gens:
-                if a in ds or not admit(w, a):
-                    continue
+            if top is None:
+                steps = admit(w, [a for a in gens if a not in down[key]])
+            else:
+                steps = state_descents(graph, w)
+                if bool(steps) != (length < len(word)) or not steps and len(level) > 1:
+                    raise SignToleranceError("lower interval does not end at the element")
+            for a in steps:
                 child = step_state(graph, state, a)
                 child_key = state_key(graph, child)
                 up.setdefault(child_key, {})[a] = key
                 cur = nxt.get(child_key)
-                if cur is None or a < cur[0][0]:
-                    nxt[child_key] = ((a,) + w, child)
+                if cur is None or top is None and a < cur[0][0]:
+                    nxt[child_key] = ((a,) + w if top is None else step_state(graph, w, a), child)
         level, down = nxt, up
         length += 1
 

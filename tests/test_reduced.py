@@ -21,10 +21,13 @@ from wordposets import (
     iter_elements,
     oracle_enumerate_class,
     oracle_reduced,
+    p_n,
     validate,
+    w0_word,
     wp_set,
 )
 from wordposets import reduced
+from wordposets.coxeter import element_state
 from wordposets.reduced import ClassCounter
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
@@ -160,6 +163,14 @@ def test_memo_cap_enforced():
         wp_set(S4, W0_S4, memo_cap=3)
 
 
+def test_memo_cap_bounds_the_live_window():
+    # S8 has 40,320 elements but at most 18,208 in five consecutive levels
+    # (alpha = 4 commuting generators plus the level being counted), and
+    # two consecutive levels of S5 hold at most 42 of its 120 elements
+    assert p_n(8, memo_cap=30_000) == 1232944
+    assert count_reduced_words(CoxeterGraph.type_a(4), w0_word(5), memo_cap=60) == 768
+
+
 def test_bound_check_examples():
     assert bound_check(A2, (1,))
     assert bound_check(S4, W0_S4)  # 9 * 64 <= 4 * 729
@@ -227,6 +238,40 @@ def test_empty_descent_read_off_non_identity_raises(monkeypatch):
         count_classes(S4, W0_S4)
     with pytest.raises(SignToleranceError):
         wp_set(S4, W0_S4)
+
+
+def test_dropped_descent_read_raises_in_counters(monkeypatch):
+    # a descent lost by the read (here only where another one is left, so
+    # the read is never empty) disagrees with the links the interval was
+    # grown by; both recursions must refuse rather than count fewer classes
+    state_descents = reduced.state_descents
+
+    def read(graph, state):
+        ds = state_descents(graph, state)
+        return ds[1:] if len(ds) > 1 else ds
+
+    monkeypatch.setattr(reduced, "state_descents", read)
+    with pytest.raises(SignToleranceError):
+        count_classes(S4, W0_S4)
+    with pytest.raises(SignToleranceError):
+        wp_set(S4, W0_S4)
+
+
+def test_interval_ending_at_two_elements_raises(monkeypatch):
+    # grown from the identity, the interval of s1 s2 must end at one
+    # element; a read that adds descent 3 to s1 (the state of s2 * w^-1) and
+    # none to s3 s1 grows a stray s3 s2 beside s1 s2 on the top level
+    s1, s3s1 = element_state(S4, (1,)), element_state(S4, (3, 1))
+    state_descents = reduced.state_descents
+
+    def read(graph, state):
+        return (1, 3) if state == s1 else () if state == s3s1 else state_descents(graph, state)
+
+    monkeypatch.setattr(reduced, "state_descents", read)
+    with pytest.raises(SignToleranceError):
+        count_classes(S4, (1, 2))
+    with pytest.raises(SignToleranceError):
+        wp_set(S4, (1, 2))
 
 
 @pytest.mark.parametrize("graph,calls", [(S4, 42), (B3, 102), (H3, 427)],
