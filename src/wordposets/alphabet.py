@@ -33,6 +33,7 @@ class CommutationAlphabet:
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
         pairs = set()
+        commuting = {s: set() for s in symbols}
         for a, b in commuting_pairs:
             if a not in self._index or b not in self._index:
                 raise GraphParseError(f"commuting pair ({a!r}, {b!r}) uses unknown symbol")
@@ -40,9 +41,10 @@ class CommutationAlphabet:
                 raise GraphParseError(f"symbol {a!r} declared to commute with itself")
             i, j = self._index[a], self._index[b]
             pairs.add((min(i, j), max(i, j)))
+            commuting[a].add(b)
+            commuting[b].add(a)
         self._pairs = frozenset(pairs)
-        self.commuting = {s: frozenset(t for t in symbols if self.commutes(s, t))
-                          for s in symbols}
+        self.commuting = {s: frozenset(ts) for s, ts in commuting.items()}
 
     def __contains__(self, symbol):
         return symbol in self._index

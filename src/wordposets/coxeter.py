@@ -23,25 +23,29 @@ and the sign answers length questions:
 
 For labels within {2, 3, 4, 6, infinity} the matrix A can be chosen with
 integer entries, so all of this is exact integer arithmetic.  Other finite
-labels use entries -2 cos(pi/m) and a sign tolerance; an undecidable sign
-raises SignToleranceError rather than guessing.
+labels use floats -2 cos(pi/m) and a sign tolerance.  This column calculus
+is the tests' reference, and the root walk of the deletion scan.
 
-The counting engines step an element w as a *state* (``*_state`` helpers).
-On the exact path it is the numbers-game vector y_j = <w^{-1} alpha_j, rho>,
-the coordinate sum of column j of w^{-1}: s_b w costs one pass over b's
-neighbours, a is a left descent iff y_a < 0, and y identifies w (rho lies in
-the fundamental chamber, whose points have trivial stabilizers; Tits).  The
-float path keeps the inverse column matrix and both SignToleranceError checks.
+Every engine steps an element w as a *state* (``*_state`` helpers): the
+numbers-game vector y_j = <w^{-1} alpha_j, rho>, the coordinate sum of column
+j of w^{-1}.  s_b w costs one pass over b's neighbours, a is a left descent
+iff y_a < 0, and y identifies w (rho lies in the fundamental chamber, whose
+points have trivial stabilizers; Tits), so the state is its own key.  y_j
+lies in Z[zeta], zeta = exp(i pi / L), L the lcm of the labels outside
+{2, 3, 4, 6, infinity}, held as its d integer coefficients on 1, zeta, ...,
+zeta^(d-1) modulo the cyclotomic polynomial Phi_2L (d = 1 without such
+labels); a sign for d > 1 is read in floats with a certified error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import GraphParseError, NotReducedError, SignToleranceError
+from .errors import BudgetError, GraphParseError, NotReducedError, SignToleranceError
 
 __all__ = [
     "INFINITY",
@@ -64,6 +68,8 @@ TOLERANCE = 1e-9
 
 # Labels whose dihedral relation admits an integer Cartan realization.
 _EXACT_LABELS = frozenset({2, 3, 4, 6, INFINITY})
+# Largest lcm of the other labels that the state ring takes: all labels <= 10.
+MAX_RING_LCM = 2520
 
 
 def _cartan_pair(m, exact):
@@ -90,13 +96,59 @@ def _cartan_pair(m, exact):
     return c, c
 
 
+@functools.cache
+def _cyclotomic(n):
+    """Integer coefficients, constant term first, of the n-th cyclotomic
+    polynomial: x^n - 1 divided by those of the proper divisors of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for k in (k for k in range(1, n) if n % k == 0):
+        q = _cyclotomic(k)
+        e = len(q) - 1
+        for i in range(len(p) - 1, e - 1, -1):  # the quotient replaces p[e:]
+            for j in range(e):
+                p[i - e + j] -= p[i] * q[j]
+        p = p[e:]
+    return tuple(p)
+
+
+def _state_ring(labels):
+    """(d, cosines of k pi / L for k < d, rows) for the numbers-game state:
+    rows[a] lists the (i, k, c) of ``y[i] -= c * state[k]`` taking w to s_a w.
+    (i, i, 2) negates y_a; the rest subtract A[a][j] y_a from each neighbour
+    y_j, A[a][j] an exact label's integer entry or -(zeta^e + zeta^-e) for
+    e = L / m, as a d x d matrix through the powers of zeta modulo Phi_2L."""
+    period = 2 * math.lcm(*{m for row in labels for m in row if m not in _EXACT_LABELS})
+    if period > 2 * MAX_RING_LCM:
+        raise BudgetError(f"labels have lcm {period // 2}, state ring cap is {MAX_RING_LCM}")
+    phi = _cyclotomic(period)
+    d = len(phi) - 1
+    powers, x = [], [1] + [0] * (d - 1)  # zeta^k for k < period
+    for _ in range(period):
+        powers.append(x)
+        x = [v - x[-1] * c for v, c in zip([0] + x[:-1], phi)]
+    rows = []
+    for a, line in enumerate(labels):
+        row = [(a * d + p, a * d + p, 2) for p in range(d)]
+        for j, m in enumerate(line):
+            if m in _EXACT_LABELS:
+                c = _cartan_pair(m, True)[a > j]
+                row += [(j * d + p, a * d + p, c) for p in range(d) if c]
+            elif m != 1:
+                e = period // (2 * m)
+                for q in range(d):
+                    row += [(j * d + p, a * d + q, -u - v)
+                            for p, (u, v) in enumerate(zip(powers[q + e], powers[q - e])) if u + v]
+        rows.append(tuple(row))
+    return d, tuple(math.cos(2 * math.pi * k / period) for k in range(d)), tuple(rows)
+
+
 class CoxeterGraph:
     """Immutable Coxeter graph on generators 1..rank.
 
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  The Cartan-style matrix and its sparse
-    off-diagonal rows are precomputed for the reflection action, and
-    ``commuting[i - 1]`` is the set of generators that commute with i.
+    off-diagonal rows for the reflection action, the state's ring tables
+    (``_state_ring``) for the engines, and ``commuting[i - 1]`` is the set of generators that commute with i.
     """
 
     def __init__(self, rank, edges=()):
@@ -130,6 +182,7 @@ class CoxeterGraph:
         self.reflection_rows = tuple(
             tuple((j, cartan[i][j]) for j in range(rank) if j != i and cartan[i][j] != 0)
             for i in range(rank))
+        self.state_degree, self.state_cosines, self.state_rows = _state_ring(self._labels)
 
     @property
     def generators(self):
@@ -363,9 +416,7 @@ def descents_from_inverse(graph, cols):
 
 def element_state(graph, word=()):
     """State of the element of ``word``, the identity by default."""
-    if not graph.exact:
-        return inverse_columns(graph, word)
-    state = (1,) * graph.rank
+    state = ((1,) + (0,) * (graph.state_degree - 1)) * graph.rank
     for a in reversed(word):
         state = step_state(graph, state, a)
     return state
@@ -373,28 +424,30 @@ def element_state(graph, word=()):
 
 def step_state(graph, state, a):
     """State of s_a w from the state of w; ``state`` is left as it was."""
-    if not graph.exact:
-        cols = list(state)
-        apply_generator(cols, graph, a - 1)
-        return cols
     y = list(state)
-    ya = y[a - 1]
-    y[a - 1] = -ya
-    for j, c in graph.reflection_rows[a - 1]:
-        y[j] -= c * ya
+    for i, k, c in graph.state_rows[a - 1]:
+        y[i] -= c * state[k]
     return tuple(y)
 
 
-def state_key(graph, state):
-    """Hashable identifier of the element held in ``state``."""
-    return state if graph.exact else matrix_key(graph, state)
-
-
 def state_descents(graph, state):
-    """Left descents of the element held in ``state``, ascending."""
-    if graph.exact:
+    """Left descents of the element held in ``state``, ascending.  With
+    d > 1, y_j's sign is that of sum_k c_k cos(k pi / L), scaled by the
+    largest |c_k| so no float overflows; a value within the error bound
+    2^-48 d sum_k |c_k| raises SignToleranceError."""
+    d = graph.state_degree
+    if d == 1:
         return tuple([j for j, y in enumerate(state, 1) if y < 0])
-    return tuple(descents_from_inverse(graph, state))
+    out = []
+    for j in graph.generators:
+        coeffs = state[(j - 1) * d:j * d]
+        big = max(map(abs, coeffs))
+        value = sum(c / big * x for c, x in zip(coeffs, graph.state_cosines))
+        if abs(value) <= 2.0 ** -48 * d * sum(map(abs, coeffs)) / big:
+            raise SignToleranceError(f"root coordinate {value * big:.6g} within its error bound")
+        if value < 0:
+            out.append(j)
+    return tuple(out)
 
 
 def _reflect(graph, a0, v):
@@ -442,15 +495,16 @@ def delete_left_descent(graph, a, word):
 def shortest_non_reduced_prefix(graph, word):
     """The shortest prefix of ``word`` that is not reduced, or None.
 
-    Scans left to right; the prefix through position t is reduced as long
-    as the root about to be reflected at each step is positive.
+    Scans left to right carrying the state of the prefix's inverse; the
+    prefix through position t is reduced as long as no letter is a left
+    descent of the inverse of the prefix before it.
     """
     word = _check_word(graph, word)
-    cols = identity_columns(graph)
+    state = element_state(graph)
     for t, a in enumerate(word):
-        if _column_sign(graph, cols[a - 1]) < 0:
+        if a in state_descents(graph, state):
             return word[:t + 1]
-        apply_generator(cols, graph, a - 1)
+        state = step_state(graph, state, a)
     return None
 
 
@@ -478,13 +532,13 @@ def element_of(graph, word):
     """
     word = _check_word(graph, word)
     out = ()
-    cols = identity_columns(graph)
+    state = element_state(graph)
     for a in word:
-        if _column_sign(graph, cols[a - 1]) > 0:
-            out = out + (a,)
-        else:
+        if a in state_descents(graph, state):
             out = delete_left_descent(graph, a, out[::-1])[::-1]
-        apply_generator(cols, graph, a - 1)
+        else:
+            out = out + (a,)
+        state = step_state(graph, state, a)
     return out
 
 

@@ -12,10 +12,10 @@ class NotReducedError(ValueError):
 class SignToleranceError(ArithmeticError):
     """A root-vector sign could not be decided.
 
-    Raised when a root's coordinates all sit within tolerance of zero, or
-    carry both signs (which the theory forbids, so it signals accumulated
-    floating-point error).  Never resolved silently: callers must shorten
-    the word or switch to a label set with exact arithmetic.
+    Raised by the float column calculus when a root's coordinates all sit
+    within tolerance of zero or carry both signs (which the theory forbids),
+    by the exact state when a coordinate's float value lies within its
+    certified error bound of zero, and when descent reads disagree.
     """
 
 

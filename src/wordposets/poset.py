@@ -178,7 +178,7 @@ def build_word_poset(word, alphabet: CommutationAlphabet, *,
     for j in range(m):
         acc = 0
         for i in range(j):
-            if letters[i] == letters[j] or not alphabet.commutes(letters[i], letters[j]):
+            if letters[i] not in alphabet.commuting[letters[j]]:
                 acc |= preds[i] | (1 << i)
         preds[j] = acc
     return WordPoset(letters, preds)
@@ -195,6 +195,9 @@ def validate(poset: WordPoset, alphabet: CommutationAlphabet) -> list:
     m = len(poset)
     preds = poset.preds
     labels = poset.labels
+    for s in labels:
+        alphabet.index(s)  # ValueError for a label outside the alphabet
+    commuting = [alphabet.commuting[s] for s in labels]
     for y in range(m):
         for x in _bits(preds[y]):
             if preds[x] >> y & 1:
@@ -203,13 +206,13 @@ def validate(poset: WordPoset, alphabet: CommutationAlphabet) -> list:
                 out.append(f"order: not transitively closed at {x} < {y}")
     for x in range(m):
         for y in range(x + 1, m):
-            constrained = labels[x] == labels[y] or not alphabet.commutes(labels[x], labels[y])
+            constrained = labels[y] not in commuting[x]
             comparable = poset.less(x, y) or poset.less(y, x)
             if constrained and not comparable:
                 out.append(
                     f"condition (a): {x} and {y} (labels {labels[x]!r}, {labels[y]!r}) incomparable")
     for x, y in poset.covers():
-        if labels[x] != labels[y] and alphabet.commutes(labels[x], labels[y]):
+        if labels[y] in commuting[x]:
             out.append(
                 f"condition (b): cover {x} < {y} with commuting labels {labels[x]!r}, {labels[y]!r}")
     return out

@@ -27,7 +27,6 @@ from .coxeter import (
     INFINITY,
     element_state,
     state_descents,
-    state_key,
     step_state,
     _require_reduced,
     # not called here; bound for bench/tracing.py's per-layer table
@@ -104,26 +103,20 @@ def _count_levels(graph, memo_cap=None, **growth):
         if group is None:
             groups.append(group := set())
         group.add(a)
-    links, counts, below = [], [], {}
+    links, counts = [], []
     for level in _levels(graph, links=links, **growth):
         down, here, live = links.pop(), {}, sum(map(len, counts))
-        for key, (_w, state) in level.items():
+        for key in level:
             link = down[key]
-            states, c = [state], 0 if below else 1
+            states, c = [key], 0 if link else 1  # only the identity has no links
             for i, a, d, sign in terms(frozenset(link)):
-                if d == -1:
-                    k = link[a]
-                    states.append(below[k][1])
-                else:
-                    states.append(step_state(graph, states[i], a))
-                    k = state_key(graph, states[-1])
-                c += sign * counts[d][k]
+                states.append(link[a] if d == -1 else step_state(graph, states[i], a))
+                c += sign * counts[d][states[-1]]
             if live + len(here) >= cap:
                 raise BudgetError(f"class-count memo exceeds {cap} entries")
             here[key] = c
         counts.append(here)
         del counts[:-len(groups)]
-        below = level
         yield level, here
 
 
@@ -291,8 +284,8 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
 
 
 def _levels(graph, max_length=None, admit=lambda word, ups: ups, links=None, word=None):
-    """Group elements level by level: per length, a dict from state_key to
-    (canonical word, state).
+    """Group elements level by level: per length, a dict from state (its own
+    key) to (canonical word, state).
 
     A child is a*u for a generator a that is not a left descent of u and
     that ``admit(word, ups)`` keeps of the list ``ups`` of such generators
@@ -309,8 +302,7 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, links=None, wor
     """
     state = element_state(graph)
     top = None if word is None else element_state(graph, word[::-1])
-    level = {state_key(graph, state): ((), state) if top is None else (top, state)}
-    down = {key: {} for key in level}
+    level, down = {state: ((), state) if top is None else (top, state)}, {state: {}}
     gens = graph.generators
     length = 0
     while level:
@@ -332,11 +324,10 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, links=None, wor
                     raise SignToleranceError("lower interval does not end at the element")
             for a in steps:
                 child = step_state(graph, state, a)
-                child_key = state_key(graph, child)
-                up.setdefault(child_key, {})[a] = key
-                cur = nxt.get(child_key)
+                up.setdefault(child, {})[a] = key
+                cur = nxt.get(child)
                 if cur is None or top is None and a < cur[0][0]:
-                    nxt[child_key] = ((a,) + w if top is None else step_state(graph, w, a), child)
+                    nxt[child] = ((a,) + w if top is None else step_state(graph, w, a), child)
         level, down = nxt, up
         length += 1
 

@@ -69,7 +69,7 @@ def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
         for u in frontier:
             for i in range(len(u) - 1):
                 a, b = u[i], u[i + 1]
-                if a != b and alphabet.commutes(a, b):
+                if b in alphabet.commuting[a]:
                     v = u[:i] + (b, a) + u[i + 2:]
                     if v not in seen:
                         if len(seen) >= max_size:

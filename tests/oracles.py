@@ -7,6 +7,7 @@ it touches the package's root-system or ideal-counting code paths, so
 agreement between the two sides is evidence, not circularity.
 """
 
+import math
 import random
 from itertools import permutations
 
@@ -101,6 +102,52 @@ def word_to_permutation(n, word):
 def inversions(perm):
     return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                if perm[i] > perm[j])
+
+
+def standard_tableaux(shape):
+    """Standard Young tableaux of a partition shape, by the hook length
+    formula.  The staircase (n-1, ..., 1) counts the reduced words of the
+    longest element of S_n (Stanley 1984), the n x n square those of B_n
+    (Haiman 1992)."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + sum(1 for below in shape[i + 1:] if below > j)
+    return math.factorial(sum(shape)) // hooks
+
+
+def poincare_polynomial(degrees):
+    """Coefficients, lowest first, of the growth polynomial
+    prod_i (1 + t + ... + t^(d_i - 1)) of a finite Coxeter group with the
+    given degrees, e.g. (2, 6, 10) for H3 and (2, m) for the dihedral I2(m)."""
+    out = [1]
+    for d in degrees:
+        out = [sum(out[max(0, k - d + 1):k + 1]) for k in range(len(out) + d - 1)]
+    return out
+
+
+def _series_quotient(p, q, n):
+    """Coefficients through t^n of the power series p(t) / q(t), q(0) = 1."""
+    out = []
+    for k in range(n + 1):
+        out.append((p[k] if k < len(p) else 0)
+                   - sum(q[i] * out[k - i] for i in range(1, min(k, len(q) - 1) + 1)))
+    return out
+
+
+def steinberg_series(finite_parabolics, n):
+    """Elements per length 0..n of a Coxeter group from its finite parabolic
+    subgroups W_J, given as (|J|, degrees) for every J including the empty
+    one: Steinberg's 1/W(1/t) = sum_J (-1)^|J| / W_J(t), where
+    W_J(1/t) = t^-N_J W_J(t) with N_J the length of the longest element of
+    W_J.  No root or matrix arithmetic is involved."""
+    total = [0] * (n + 1)
+    for size, degrees in finite_parabolics:
+        w = poincare_polynomial(degrees)
+        shift = len(w) - 1
+        for k, c in enumerate(_series_quotient([0] * shift + [1], w, n)):
+            total[k] += (-1) ** size * c
+    return _series_quotient([1], total, n)
 
 
 def brute_extension_words(poset):

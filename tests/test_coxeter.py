@@ -10,9 +10,11 @@ from oracles import (
     brute_length,
     brute_same_element,
     inversions,
+    poincare_polynomial,
     random_coxeter_graph,
     random_word,
     rewriting_closure,
+    steinberg_series,
     word_to_permutation,
 )
 from wordposets import (
@@ -31,6 +33,7 @@ from wordposets import (
     parse_graph,
     shortest_non_reduced_prefix,
 )
+from wordposets import coxeter, networks, reduced
 from wordposets.coxeter import (
     _column_sign,
     apply_generator,
@@ -41,7 +44,14 @@ from wordposets.coxeter import (
     state_descents,
     word_columns,
 )
-from wordposets.reduced import _levels, count_classes, iter_elements, oracle_reduced
+from wordposets.reduced import (
+    _levels,
+    count_classes,
+    count_reduced_words,
+    iter_elements,
+    oracle_reduced,
+    wp_set,
+)
 
 A2 = CoxeterGraph(2, [(1, 2, 3)])
 FREE2 = CoxeterGraph(2)  # m(1,2) = 2
@@ -495,3 +505,65 @@ def test_exact_state_matches_column_matrix(graph, max_length, order):
             assert key == state == element_state(graph, word)
             assert state_descents(graph, state) == \
                 tuple(descents_from_inverse(graph, inverse_columns(graph, word)))
+
+
+# ------------------------------------ ring state vs growth series and columns
+
+H4 = CoxeterGraph(4, [(1, 2, 5), (2, 3, 3), (3, 4, 3)])
+H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
+RANK4_RING = CoxeterGraph(4, [(1, 2, 4), (2, 3, 5), (3, 4, 7), (1, 4, INFINITY)])
+# finite parabolic subgroups as (|J|, degrees): the empty one, the single
+# generators, and the finite pairs; every larger J is infinite
+H5_INF_PARABOLICS = [(0, ())] + [(1, (2,))] * 3 + [(2, (2, 5)), (2, (2, 2))]
+RANK4_RING_PARABOLICS = [(0, ())] + [(1, (2,))] * 4 + [
+    (2, (2, 4)), (2, (2, 5)), (2, (2, 7)), (2, (2, 2)), (2, (2, 2))]
+
+
+@pytest.mark.parametrize("graph, series, column_length", [
+    (H3, poincare_polynomial((2, 6, 10)), 15),
+    (H4, poincare_polynomial((2, 12, 20, 30)), 10),
+    (H5_INF, steinberg_series(H5_INF_PARABOLICS, 20), 12),
+    (RANK4_RING, steinberg_series(RANK4_RING_PARABOLICS, 8), 8),
+], ids=["H3", "H4", "5-inf", "rank4-4-5-7-inf"])
+def test_ring_state_matches_growth_series_and_column_matrix(graph, series, column_length):
+    # elements per length against growth series that use no root
+    # arithmetic; then, on words short enough for the floats, the same
+    # elements per length and the same left descents as the column calculus
+    assert graph.state_degree > 1
+    levels = list(_levels(graph, len(series) - 1))
+    assert [len(level) for level in levels] == series
+    levels = levels[:column_length + 1]
+    assert [len(level) for level in levels] == _column_level_sizes(graph, column_length)
+    for level in levels:
+        for key, (word, state) in level.items():
+            assert key == state == element_state(graph, word)
+            assert state_descents(graph, state) == \
+                tuple(descents_from_inverse(graph, inverse_columns(graph, word)))
+
+
+FLOAT_CALCULUS = ("apply_generator", "_column_sign", "matrix_key", "inverse_columns",
+                  "descents_from_inverse")
+
+
+def test_engines_never_touch_the_float_calculus(monkeypatch):
+    # the column calculus is the tests' reference only: every engine answers
+    # on H3 and H4 from the exact state alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the float column calculus was called")
+
+    for module in (coxeter, reduced, networks):
+        for name in FLOAT_CALCULUS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for graph, degrees, length in [(H3, (2, 6, 10), 10), (H4, (2, 12, 20, 30), 8)]:
+        elements = list(iter_elements(graph, length))
+        assert len(elements) == sum(poincare_polynomial(degrees)[:length + 1])
+        word = elements[-1]
+        words, classes = oracle_reduced(graph, word)
+        assert is_reduced(graph, word) and not is_reduced(graph, word + word[:1])
+        assert element_of(graph, word + word[-1:]) == word[:-1]
+        assert count_classes(graph, word) == len(wp_set(graph, word)) == classes
+        assert count_reduced_words(graph, word) == len(words)
+        assert canonical_form(graph, max(words)).word == min(words)
+        assert left_descents(graph, word) == {w[0] for w in words}
+    assert networks.search_M(5, {2, 3, 5}).value == 3

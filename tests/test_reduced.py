@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import random_word
+from oracles import random_word, standard_tableaux
 from wordposets import (
     BudgetError,
     CommutationAlphabet,
@@ -311,11 +311,32 @@ H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
 
 @pytest.mark.parametrize("k", [10, 15, 20, 25])
 def test_float_path_counts_or_refuses_long_words(k):
-    # float coordinates of (1 2 3)^k grow quickly; once a sign is in doubt
-    # the count must refuse, never run into the memo cap or miscount
+    # coordinates of (1 2 3)^k grow quickly (a float column calculus lost
+    # their signs by k = 10); the exact state must count.  The word has one
+    # class, whose poset has 2^(k-1) linear extensions because each adjacent
+    # 3 1 may swap on its own.  The closure confirms it up to k = 15 (at
+    # k = 20 it takes minutes, at 25 it passes its word cap), and the
+    # 64-position poset cap stops count_reduced_words after k = 21.
     word = (1, 2, 3) * k
-    try:
-        value = count_classes(H5_INF, word)
-    except SignToleranceError:
-        return
-    assert value == oracle_reduced(H5_INF, word)[1]
+    assert count_classes(H5_INF, word) == 1
+    if k <= 15:
+        words, classes = oracle_reduced(H5_INF, word)
+        assert (len(words), classes) == (2 ** (k - 1), 1)
+    if k <= 21:
+        assert count_reduced_words(H5_INF, word) == 2 ** (k - 1)
+
+
+B4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)])
+
+
+@pytest.mark.parametrize("graph, shape, words", [
+    (S4, (3, 2, 1), 16),
+    (CoxeterGraph.type_a(4), (4, 3, 2, 1), 768),
+    (CoxeterGraph.type_a(5), (5, 4, 3, 2, 1), 292_864),
+    (B3, (3, 3, 3), 42),
+    (B4, (4, 4, 4, 4), 24_024),
+], ids=["S4", "S5", "S6", "B3", "B4"])
+def test_reduced_words_of_longest_elements_match_closed_forms(graph, shape, words):
+    # staircase tableaux for S_n (Stanley), square tableaux for B_n (Haiman)
+    w0 = list(iter_elements(graph))[-1]
+    assert count_reduced_words(graph, w0) == standard_tableaux(shape) == words
