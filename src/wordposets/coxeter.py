@@ -147,8 +147,8 @@ class CoxeterGraph:
 
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  The Cartan-style matrix and its sparse
-    off-diagonal rows for the reflection action, the state's ring tables
-    (``_state_ring``) for the engines, and ``commuting[i - 1]`` is the set of generators that commute with i.
+    off-diagonal rows serve the reflection action, ``_state_ring``'s tables
+    the engines; ``commuting[i - 1]`` holds the generators commuting with i.
     """
 
     def __init__(self, rank, edges=()):
@@ -444,7 +444,7 @@ def state_descents(graph, state):
         big = max(map(abs, coeffs))
         value = sum(c / big * x for c, x in zip(coeffs, graph.state_cosines))
         if abs(value) <= 2.0 ** -48 * d * sum(map(abs, coeffs)) / big:
-            raise SignToleranceError(f"root coordinate {value * big:.6g} within its error bound")
+            raise SignToleranceError(f"sign of root coordinate {j} within its float error bound")
         if value < 0:
             out.append(j)
     return tuple(out)
