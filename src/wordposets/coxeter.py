@@ -24,7 +24,7 @@ and the sign answers length questions:
 For labels within {2, 3, 4, 6, infinity} the matrix A can be chosen with
 integer entries, so all of this is exact integer arithmetic.  Other finite
 labels use floats -2 cos(pi/m) and a sign tolerance.  This column calculus
-is the tests' reference, and the root walk of the deletion scan.
+is the tests' reference only; no engine reads it.
 
 Every engine steps an element w as a *state* (``*_state`` helpers): the
 numbers-game vector y_j = <w^{-1} alpha_j, rho>, the coordinate sum of column
@@ -63,7 +63,7 @@ __all__ = [
 
 INFINITY = math.inf
 
-# Sign decisions on the floating-point path treat |x| <= TOLERANCE as zero.
+# Sign decisions of the float column calculus treat |x| <= TOLERANCE as zero.
 TOLERANCE = 1e-9
 
 # Labels whose dihedral relation admits an integer Cartan realization.
@@ -99,7 +99,12 @@ def _cartan_pair(m, exact):
 @functools.cache
 def _cyclotomic(n):
     """Integer coefficients, constant term first, of the n-th cyclotomic
-    polynomial: x^n - 1 divided by those of the proper divisors of n."""
+    polynomial: Phi_(n/k)(x^k) when k^2 divides n for a prime k, else x^n - 1
+    divided by those of the proper divisors of n."""
+    k = next((k for k in range(2, math.isqrt(n) + 1) if n % (k * k) == 0), 0)
+    if k:  # the least such k is prime
+        q = _cyclotomic(n // k)
+        return tuple(q[i // k] if i % k == 0 else 0 for i in range((len(q) - 1) * k + 1))
     p = [-1] + [0] * (n - 1) + [1]
     for k in (k for k in range(1, n) if n % k == 0):
         q = _cyclotomic(k)
@@ -450,41 +455,28 @@ def state_descents(graph, state):
     return tuple(out)
 
 
-def _reflect(graph, a0, v):
-    out = list(v)
-    acc = -v[a0]
-    for j, c in graph.reflection_rows[a0]:
-        acc -= c * v[j]
-    out[a0] = acc
-    return out
-
-
-def _is_simple_root(graph, v, a0):
-    tol = 0 if graph.exact else TOLERANCE
-    return all(abs(x - (j == a0)) <= tol for j, x in enumerate(v))
-
-
 def _scan_left_deletion(graph, a, word):
     """Position t such that dropping word[t] yields a reduced word for a*word,
     or None when a is not a left descent.
 
-    Tracks the root obtained by pushing the a-th basis vector through the
-    prefix reflections; the first time it lands on the simple root of the
-    next letter, the conjugate of that letter's reflection by the prefix is
-    the reflection of a, so the letter cancels against a.
+    Steps two states along the prefixes p = word[:t], of p^-1 and p^-1*a;
+    the first letter b with b*p^-1 = p^-1*a, that is p^-1*a*p = b, cancels
+    against a.  For a reduced word this position is unique.
     """
-    v = identity_columns(graph)[a - 1]
+    q = element_state(graph)
+    qa = step_state(graph, q, a)
     for t, b in enumerate(word):
-        if _is_simple_root(graph, v, b - 1):
+        q = step_state(graph, q, b)
+        if q == qa:
             return t
-        v = _reflect(graph, b - 1, v)
+        qa = step_state(graph, qa, b)
     return None
 
 
 def delete_left_descent(graph, a, word):
     """Reduced word for a*word when a is a left descent of the reduced word.
 
-    One letter is deleted; which one is found by the root-tracking scan.
+    One letter is deleted; which one is found by the deletion scan.
     """
     t = _scan_left_deletion(graph, a, word)
     if t is None:
@@ -526,9 +518,10 @@ def element_of(graph, word):
     """A reduced word for the element represented by an arbitrary word.
 
     Letters are folded in left to right while keeping the accumulator
-    reduced: a letter that would lengthen is appended, one that would
-    shorten cancels a letter found by the deletion scan instead, run on the
-    reversed word since out*a is the inverse of a*out^-1.
+    reduced, with the state of its inverse: a letter that would lengthen is
+    appended, one that would shorten cancels a letter found by the deletion
+    scan instead, run on the reversed word since out*a is the inverse of
+    a*out^-1.
     """
     word = _check_word(graph, word)
     out = ()

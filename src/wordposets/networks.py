@@ -174,7 +174,7 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     best = {}
     for level, counts in _count_levels(graph, memo_cap, max_length=max_len, admit=admit):
         for key, c in counts.items():
-            word = level[key][0]
+            word = level[key]
             # the most classes first, then the least word
             if len(set(word)) == n and (-c, word) < best.get(len(word), (0,)):
                 best[len(word)] = (-c, word)

@@ -92,8 +92,8 @@ def _count_levels(graph, memo_cap=None, **growth):
     T runs over the pairwise-commuting subsets of u's links, listed once per
     descent set as ``_independent_subsets`` steps; Tu is u's link when
     len(T) is 1, else one generator step from T'u (T less its last letter).
-    Links are kept for one level and counts for as many as a commuting T can
-    have letters, at most ``memo_cap`` counts at once.
+    Counts are kept for as many levels as a commuting T can have letters,
+    at most ``memo_cap`` at once.
     """
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     terms = functools.cache(lambda ds: _independent_subsets(graph, ds))
@@ -103,11 +103,10 @@ def _count_levels(graph, memo_cap=None, **growth):
         if group is None:
             groups.append(group := set())
         group.add(a)
-    links, counts = [], []
-    for level in _levels(graph, links=links, **growth):
-        down, here, live = links.pop(), {}, sum(map(len, counts))
-        for key in level:
-            link = down[key]
+    counts = []
+    for level, links in _levels(graph, **growth):
+        here, live = {}, sum(map(len, counts))
+        for key, link in links.items():
             states, c = [key], 0 if link else 1  # only the identity has no links
             for i, a, d, sign in terms(frozenset(link)):
                 states.append(link[a] if d == -1 else step_state(graph, states[i], a))
@@ -176,13 +175,13 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     alphabet = CommutationAlphabet.from_coxeter(graph)
     commuting = graph.commuting
-    links, below = [], {}
-    for level in _levels(graph, links=links, word=word):
-        down, here = links.pop(), {}
-        for key in level:
+    below = {}
+    for _level, links in _levels(graph, word=word):
+        here = {}
+        for key, link in links.items():
             if len(below) + len(here) >= cap:
                 raise BudgetError(f"word-poset memo exceeds {cap} entries")
-            here[key] = [adjoin_min(p, a, alphabet) for a, k in down[key].items() for p in below[k]
+            here[key] = [adjoin_min(p, a, alphabet) for a, k in link.items() for p in below[k]
                          if not any(q == 0 and b < a and b in commuting[a - 1]
                                     for b, q in zip(p.labels, p.preds))] \
                 if below else [WordPoset((), ())]
@@ -283,57 +282,56 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, ups: ups, links=None, word=None):
-    """Group elements level by level: per length, a dict from state (its own
-    key) to (canonical word, state).
+def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None):
+    """Group elements level by level: per length, a pair (level, links) of
+    dicts keyed by state.  ``level`` maps each element to its canonical
+    word, ``links`` to {a: state of a*element} over its left descents a.
 
     A child is a*u for a generator a that is not a left descent of u and
     that ``admit(word, ups)`` keeps of the list ``ups`` of such generators
     (it must keep every suffix of a kept element).  So each element is grown
-    from a*element for each left descent a, and these links {a: key of
-    a*element} must match its one descent read (else SignToleranceError); a
-    list ``links`` gets each level's dict key -> links before it is yielded.
-    A child's canonical word starts with its smallest left descent.
+    from a*element for each left descent a, and its links must match its
+    one descent read (else SignToleranceError).  A child's canonical word
+    is its smallest link letter before that link's word.
 
     Given a reduced ``word`` of w, the levels are the interval [e, w] of its
-    suffixes u, each holding the state of u*w^-1 in place of a word: u grows
-    to a*u exactly when a is a left descent of u*w^-1, and the growth must
-    end at one element after len(word) steps, else SignToleranceError.
+    suffixes u, each mapped to the state of u*w^-1 in place of a word: u
+    grows to a*u exactly when a is a left descent of u*w^-1, and the growth
+    must end at one element after len(word) steps, else SignToleranceError.
     """
-    state = element_state(graph)
     top = None if word is None else element_state(graph, word[::-1])
-    level, down = {state: ((), state) if top is None else (top, state)}, {state: {}}
+    level = {element_state(graph): () if top is None else top}
+    links = {key: {} for key in level}
     gens = graph.generators
     length = 0
     while level:
-        for key, (_w, state) in level.items():
-            if down[key].keys() != set(state_descents(graph, state)):
+        for key, link in links.items():
+            if link.keys() != set(state_descents(graph, key)):
                 raise SignToleranceError("descent read disagrees with the growth links")
-        if links is not None:
-            links.append(down)
-        yield level
+        yield level, links
         if max_length is not None and length >= max_length:
             return
-        nxt, up = {}, {}
-        for key, (w, state) in level.items():
+        up = {}
+        for key, value in level.items():
             if top is None:
-                steps = admit(w, [a for a in gens if a not in down[key]])
+                steps = admit(value, [a for a in gens if a not in links[key]])
             else:
-                steps = state_descents(graph, w)
+                steps = state_descents(graph, value)
                 if bool(steps) != (length < len(word)) or not steps and len(level) > 1:
                     raise SignToleranceError("lower interval does not end at the element")
             for a in steps:
-                child = step_state(graph, state, a)
-                up.setdefault(child, {})[a] = key
-                cur = nxt.get(child)
-                if cur is None or top is None and a < cur[0][0]:
-                    nxt[child] = ((a,) + w if top is None else step_state(graph, w, a), child)
-        level, down = nxt, up
+                up.setdefault(step_state(graph, key, a), {})[a] = key
+        nxt = {}
+        for child, link in up.items():
+            a = min(link)
+            value = level[link[a]]
+            nxt[child] = (a,) + value if top is None else step_state(graph, value, a)
+        level, links = nxt, up
         length += 1
 
 
 def iter_elements(graph, max_length: int | None = None):
     """Canonical reduced words of group elements, by length then lex order;
     without ``max_length`` this terminates only when the group is finite."""
-    for level in _levels(graph, max_length):
-        yield from sorted(w for w, _state in level.values())
+    for level, _links in _levels(graph, max_length):
+        yield from sorted(level.values())

@@ -320,11 +320,14 @@ def test_misread_sign_ends_with_error_line(tmp_path, capsys, command):
 def test_large_labels_count_or_hit_the_ring_cap(tmp_path, capsys):
     # labels 7, 11 and 13 put the state in a cyclotomic ring of degree 720;
     # no braid move fits in six letters, so the word's class is all of its
-    # reduced words.  Past MAX_RING_LCM the graph is refused as a budget.
+    # reduced words.  The 4-cycle with labels 5, 7, 8 and 9 has lcm 2520,
+    # MAX_RING_LCM itself; past it the graph is refused as a budget.
     graph = tmp_path / "g.cox"
-    graph.write_text("generators: 4\nedge: 1 2 7\nedge: 2 3 11\nedge: 3 4 13\n")
-    assert run(capsys, ["count-classes", "--graph", str(graph), "--word", "1 2 3 4 3 2"]) == \
-        (0, "1\n", "")
+    for edges in ["edge: 1 2 7\nedge: 2 3 11\nedge: 3 4 13\n",
+                  "edge: 1 2 5\nedge: 2 3 7\nedge: 3 4 8\nedge: 1 4 9\n"]:
+        graph.write_text("generators: 4\n" + edges)
+        assert run(capsys, ["count-classes", "--graph", str(graph),
+                            "--word", "1 2 3 4 3 2"]) == (0, "1\n", "")
     graph.write_text("generators: 2\nedge: 1 2 2521\n")
     code, out, err = run(capsys, ["count-classes", "--graph", str(graph), "--word", "1 2"])
     assert (code, out) == (2, "")

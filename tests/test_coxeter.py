@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -42,6 +43,7 @@ from wordposets.coxeter import (
     inverse_columns,
     matrix_key,
     state_descents,
+    step_state,
     word_columns,
 )
 from wordposets.reduced import (
@@ -495,14 +497,14 @@ def test_exact_state_matches_column_matrix(graph, max_length, order):
     # column calculus must see the same elements per length and, for every
     # canonical word, the same left descents
     assert graph.exact
-    levels = list(_levels(graph, max_length))
+    levels = [level for level, _links in _levels(graph, max_length)]
     sizes = [len(level) for level in levels]
     assert sizes == _column_level_sizes(graph, max_length)
     if order is not None:
         assert sum(sizes) == order
     for level in levels:
-        for key, (word, state) in level.items():
-            assert key == state == element_state(graph, word)
+        for state, word in level.items():
+            assert state == element_state(graph, word)
             assert state_descents(graph, state) == \
                 tuple(descents_from_inverse(graph, inverse_columns(graph, word)))
 
@@ -530,24 +532,48 @@ def test_ring_state_matches_growth_series_and_column_matrix(graph, series, colum
     # arithmetic; then, on words short enough for the floats, the same
     # elements per length and the same left descents as the column calculus
     assert graph.state_degree > 1
-    levels = list(_levels(graph, len(series) - 1))
+    levels = [level for level, _links in _levels(graph, len(series) - 1)]
     assert [len(level) for level in levels] == series
     levels = levels[:column_length + 1]
     assert [len(level) for level in levels] == _column_level_sizes(graph, column_length)
     for level in levels:
-        for key, (word, state) in level.items():
-            assert key == state == element_state(graph, word)
+        for state, word in level.items():
+            assert state == element_state(graph, word)
             assert state_descents(graph, state) == \
                 tuple(descents_from_inverse(graph, inverse_columns(graph, word)))
 
 
 FLOAT_CALCULUS = ("apply_generator", "_column_sign", "matrix_key", "inverse_columns",
-                  "descents_from_inverse")
+                  "descents_from_inverse", "identity_columns")
+
+
+def _grown_reduced_word(graph, rng, length):
+    """A reduced word grown by prepending random non-descents, up to
+    ``length`` letters or until every generator is a left descent."""
+    word = ()
+    while len(word) < length:
+        ups = [a for a in graph.generators if a not in left_descents(graph, word)]
+        if not ups:
+            break
+        word = (rng.choice(ups),) + word
+    return word
+
+
+def _check_multiply_left(graph, word):
+    # a*w drops one letter exactly when a is a left descent, stays reduced,
+    # and is the element one generator step from w
+    descents = left_descents(graph, word)
+    for a in graph.generators:
+        out = multiply_left(graph, a, word)
+        assert is_reduced(graph, out)
+        assert len(out) == len(word) + (-1 if a in descents else 1)
+        assert element_state(graph, out) == step_state(graph, element_state(graph, word), a)
 
 
 def test_engines_never_touch_the_float_calculus(monkeypatch):
     # the column calculus is the tests' reference only: every engine answers
-    # on H3 and H4 from the exact state alone
+    # on H3 and H4, and multiply_left also on the {5, inf} and {4, 5, 7, inf}
+    # graphs, from the exact state alone
     def refuse(*args, **kwargs):
         raise AssertionError("the float column calculus was called")
 
@@ -566,4 +592,27 @@ def test_engines_never_touch_the_float_calculus(monkeypatch):
         assert count_reduced_words(graph, word) == len(words)
         assert canonical_form(graph, max(words)).word == min(words)
         assert left_descents(graph, word) == {w[0] for w in words}
+        for sample in random.Random(length).sample(elements, 40):
+            _check_multiply_left(graph, sample)
+    rng = random.Random(9)
+    w0 = _grown_reduced_word(H4, rng, 100)
+    assert len(w0) == 60
+    _check_multiply_left(H4, w0)
+    for graph in (H5_INF, RANK4_RING):
+        for _ in range(5):
+            _check_multiply_left(graph, _grown_reduced_word(graph, rng, 40))
     assert networks.search_M(5, {2, 3, 5}).value == 3
+
+
+def _value_at(poly, x):
+    return functools.reduce(lambda acc, c: acc * x + c, reversed(poly), 0)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    # prod over d | n of Phi_d(x) = x^n - 1, read at x = 2 and x = 3, and
+    # deg Phi_n = phi(n); the large n have square factors, as ring periods do
+    for n in [*range(1, 301), 720, 1008, 2520, 5040]:
+        assert len(coxeter._cyclotomic(n)) - 1 == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for x in (2, 3):
+            assert math.prod(_value_at(coxeter._cyclotomic(d), x) for d in divisors) == x ** n - 1
