@@ -32,18 +32,14 @@ class CommutationAlphabet:
             raise GraphParseError("duplicate symbols in alphabet")
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
-        pairs = set()
         commuting = {s: set() for s in symbols}
         for a, b in commuting_pairs:
             if a not in self._index or b not in self._index:
                 raise GraphParseError(f"commuting pair ({a!r}, {b!r}) uses unknown symbol")
             if a == b:
                 raise GraphParseError(f"symbol {a!r} declared to commute with itself")
-            i, j = self._index[a], self._index[b]
-            pairs.add((min(i, j), max(i, j)))
             commuting[a].add(b)
             commuting[b].add(a)
-        self._pairs = frozenset(pairs)
         self.commuting = {s: frozenset(ts) for s, ts in commuting.items()}
 
     def __contains__(self, symbol):
@@ -53,15 +49,15 @@ class CommutationAlphabet:
         return len(self.symbols)
 
     def __repr__(self):
-        return f"CommutationAlphabet({self.symbols!r}, {sorted(self.pairs())!r})"
+        return f"CommutationAlphabet({self.symbols!r}, {self.pairs()!r})"
 
     def __eq__(self, other):
         if not isinstance(other, CommutationAlphabet):
             return NotImplemented
-        return self.symbols == other.symbols and self._pairs == other._pairs
+        return self.symbols == other.symbols and self.commuting == other.commuting
 
     def __hash__(self):
-        return hash((self.symbols, self._pairs))
+        return hash((self.symbols, tuple(self.commuting.values())))
 
     def index(self, symbol):
         """Rank of a symbol in the alphabet order."""
@@ -72,14 +68,12 @@ class CommutationAlphabet:
 
     def commutes(self, a, b) -> bool:
         """True iff a and b are distinct commuting symbols."""
-        i, j = self.index(a), self.index(b)
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self._pairs
+        return self.index(a) != self.index(b) and b in self.commuting[a]
 
     def pairs(self):
         """The commuting pairs as symbol tuples."""
-        return [(self.symbols[i], self.symbols[j]) for i, j in sorted(self._pairs)]
+        return [(s, t) for i, s in enumerate(self.symbols)
+                for t in self.symbols[i + 1:] if t in self.commuting[s]]
 
     @classmethod
     def from_coxeter(cls, graph) -> "CommutationAlphabet":

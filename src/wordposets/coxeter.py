@@ -240,13 +240,17 @@ def _parse_label_token(tok):
         raise GraphParseError(f"bad edge label {tok!r}") from None
 
 
-def _check_edge(rank, i, j, m, where):
+def _add_edge(edges, rank, i, j, m, where):
+    """Check edge (i, j, m) and record it under (min, max); errors cite ``where``."""
     if not (1 <= i <= rank and 1 <= j <= rank):
         raise GraphParseError(f"{where}: generator index out of range 1..{rank}")
     if i == j:
         raise GraphParseError(f"{where}: edge endpoints must differ")
     if m != INFINITY and m < 3:
         raise GraphParseError(f"{where}: explicit edge label must be >= 3, got {m}")
+    key = (min(i, j), max(i, j))
+    if edges.setdefault(key, m) != m:
+        raise GraphParseError(f"{where}: conflicting labels for edge {key}")
 
 
 def _parse_graph_json(text):
@@ -270,11 +274,7 @@ def _parse_graph_json(text):
         if type(i) is not int or type(j) is not int or \
                 (m != INFINITY and type(m) is not int):
             raise GraphParseError(f"edge entry {entry!r} must hold integers or 'inf'")
-        _check_edge(rank, i, j, m, f"edge {entry!r}")
-        key = (min(i, j), max(i, j))
-        if key in edges and edges[key] != m:
-            raise GraphParseError(f"conflicting labels for edge {key}")
-        edges[key] = m
+        _add_edge(edges, rank, i, j, m, f"edge {entry!r}")
     return CoxeterGraph(rank, [(i, j, m) for (i, j), m in edges.items()])
 
 
@@ -316,11 +316,7 @@ def parse_graph(text: str) -> CoxeterGraph:
             except ValueError:
                 raise GraphParseError(f"line {lineno}: bad generator index") from None
             m = _parse_label_token(parts[2])
-            _check_edge(rank, i, j, m, f"line {lineno}")
-            key = (min(i, j), max(i, j))
-            if key in edges and edges[key] != m:
-                raise GraphParseError(f"line {lineno}: conflicting labels for edge {key}")
-            edges[key] = m
+            _add_edge(edges, rank, i, j, m, f"line {lineno}")
         else:
             raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
     if rank is None:

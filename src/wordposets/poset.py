@@ -19,12 +19,10 @@ lexicographically smallest linear-extension word.
 
 Order is stored as one predecessor bit set per element, so comparability
 tests are single mask probes and the extension-counting dynamic program
-runs over ideal bit sets.
+runs over up-set bit sets, peeling off minimal elements.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .alphabet import CommutationAlphabet
 from .errors import BudgetError
@@ -91,16 +89,6 @@ class WordPoset:
 
     def leq(self, x, y) -> bool:
         return x == y or self.less(x, y)
-
-    @cached_property
-    def succs(self):
-        """Strict successor bit set per element."""
-        m = len(self)
-        out = [0] * m
-        for y, p in enumerate(self.preds):
-            for x in _bits(p):
-                out[x] |= 1 << y
-        return tuple(out)
 
     def covers(self):
         """Cover pairs (x, y) with x < y and nothing in between."""
@@ -222,14 +210,14 @@ def count_linear_extensions(poset: WordPoset, *,
                             max_positions: int = DEFAULT_MAX_POSITIONS) -> int:
     """Exact number of linear extensions.
 
-    Dynamic program over order ideals: an extension of an ideal ends with one
-    of its maximal elements, so counts add over removing each maximal element.
-    Memoized on the ideal's bit set; exact big integers throughout.
+    Dynamic program over up-sets: an extension of an up-set starts with one
+    of its minimal elements, so counts add over removing each minimal element.
+    Memoized on the up-set's bit set; exact big integers throughout.
     """
     m = len(poset)
     if m > max_positions:
         raise BudgetError(f"poset has {m} elements, position cap is {max_positions}")
-    succs = poset.succs
+    preds = poset.preds
     memo = {0: 1}
 
     def count(mask):
@@ -242,7 +230,7 @@ def count_linear_extensions(poset: WordPoset, *,
         while rest:
             low = rest & -rest
             rest ^= low
-            if succs[low.bit_length() - 1] & mask == 0:
+            if preds[low.bit_length() - 1] & mask == 0:
                 total += count(mask ^ low)
         memo[mask] = total
         return total
@@ -315,9 +303,9 @@ def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,
                max_positions: int = DEFAULT_MAX_POSITIONS) -> WordPoset:
     """Adjoin a new element labeled ``symbol`` below everything it must precede.
 
-    The new element x goes below every y whose label equals the symbol or does
-    not commute with it, and transitively below everything above those.  The
-    restriction to the old elements is unchanged; x gets position m.
+    The new element x goes below every y whose down-set holds a label that
+    equals the symbol or does not commute with it.  The restriction to the
+    old elements is unchanged; x gets position m.
     """
     m = len(poset)
     if m + 1 > max_positions:
@@ -325,11 +313,11 @@ def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,
     if symbol not in alphabet:
         raise ValueError(f"symbol {symbol!r} not in alphabet")
     commuting = alphabet.commuting[symbol]
-    above = 0
+    fights = 0
     for y, s in enumerate(poset.labels):
         if s not in commuting:
-            above |= (1 << y) | poset.succs[y]
+            fights |= 1 << y
     xbit = 1 << m
-    preds = [p | xbit if above >> y & 1 else p for y, p in enumerate(poset.preds)]
+    preds = [p | xbit if (p | 1 << y) & fights else p for y, p in enumerate(poset.preds)]
     preds.append(0)
     return WordPoset(poset.labels + (symbol,), preds)

@@ -35,6 +35,7 @@ from .coxeter import (
 )
 from .errors import BudgetError, SignToleranceError
 from .poset import WordPoset, adjoin_min, canonical_word, count_linear_extensions
+from .trace import _closure, oracle_enumerate_class
 
 __all__ = [
     "DEFAULT_MEMO_CAP",
@@ -198,10 +199,6 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     return sum(count_linear_extensions(p) for p in posets)
 
 
-def _alternating(a, b, m):
-    return tuple(a if k % 2 == 0 else b for k in range(m))
-
-
 def _move_neighbors(graph, w):
     """Words one commutation or braid move away from w.
 
@@ -217,9 +214,9 @@ def _move_neighbors(graph, w):
         m = graph.label(a, b)
         if m == INFINITY or p + m > len(w):
             continue
-        m = int(m)
-        if w[p:p + m] == _alternating(a, b, m):
-            out.append(w[:p] + _alternating(b, a, m) + w[p + m:])
+        seg = w[p:p + m]
+        if seg[2:] == seg[:-2]:
+            out.append(w[:p] + (b,) + seg[:-1] + w[p + m:])
     return out
 
 
@@ -227,45 +224,23 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
     """All reduced words of the element, with the number of commutation
     classes among them, by brute-force closure.
 
-    Breadth-first closure under commutation and braid moves reaches every
-    reduced word of the element; the class count is the number of connected
-    components under commutation moves alone.  Independent of the poset and
-    inclusion-exclusion machinery, which is the point: this is the oracle
-    they are tested against.
+    The shared breadth-first closure (``trace._closure``) under commutation
+    and braid moves reaches every reduced word of the element; the class
+    count is the number of commutation classes ``oracle_enumerate_class``
+    splits them into.  Independent of the poset and inclusion-exclusion
+    machinery, which is the point: this is the oracle they are tested
+    against.
     """
     word = _require_reduced(graph, word)
     cap = DEFAULT_MAX_REDUCED_WORDS if max_words is None else max_words
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for v in _move_neighbors(graph, w):
-                if v not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetError(f"reduced-word closure exceeds {cap} words")
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-
-    components = 0
-    visited = set()
-    for start in seen:
-        if start in visited:
-            continue
-        components += 1
-        stack = [start]
-        visited.add(start)
-        while stack:
-            w = stack.pop()
-            for p in range(len(w) - 1):
-                a, b = w[p], w[p + 1]
-                if a != b and graph.label(a, b) == 2:
-                    v = w[:p] + (b, a) + w[p + 2:]
-                    if v not in visited:
-                        visited.add(v)
-                        stack.append(v)
-    return seen, components
+    seen = _closure(word, lambda w: _move_neighbors(graph, w), cap, "reduced-word closure")
+    alphabet = CommutationAlphabet.from_coxeter(graph)
+    classes, reached = 0, set()
+    for w in seen:
+        if w not in reached:
+            reached |= oracle_enumerate_class(w, alphabet, max_size=len(seen))
+            classes += 1
+    return seen, classes
 
 
 def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:

@@ -3,9 +3,10 @@
 Two words are equivalent when one turns into the other by repeatedly
 swapping adjacent distinct commuting letters.  The class of a word is
 determined by its word poset, so counting and membership tests go through
-the poset rather than through explicit rewriting.  The explicit
-breadth-first closure is kept as an independent reference
-(``oracle_enumerate_class``) that the poset route is checked against.
+the poset rather than through explicit rewriting.  One explicit
+breadth-first closure (``_closure``) is kept as an independent reference:
+``oracle_enumerate_class`` here and ``reduced.oracle_reduced`` check the
+poset and inclusion-exclusion routes against it.
 """
 
 from __future__ import annotations
@@ -48,12 +49,32 @@ def same_class(u, v, alphabet: CommutationAlphabet) -> bool:
     return canonical_word(pu, alphabet) == canonical_word(pv, alphabet)
 
 
+def _closure(start, moves, cap, what) -> set:
+    """Every word reachable from ``start`` by repeated ``moves(word)``, by
+    breadth-first search; raises BudgetError past ``cap`` words."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in moves(u):
+                if v not in seen:
+                    if len(seen) >= cap:
+                        raise BudgetError(f"{what} exceeds {cap} words")
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
 def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
                            max_size: int | None = None) -> set:
     """All words reachable by adjacent commuting swaps, as a set of tuples.
 
-    Plain breadth-first closure, independent of the poset machinery; the
-    reference answer for count_class and enumerate_linear_extensions.
+    The shared breadth-first closure ``_closure`` (also behind
+    ``reduced.oracle_reduced``), independent of the poset and
+    inclusion-exclusion code; the reference answer for count_class and
+    enumerate_linear_extensions.
     Raises BudgetError when the class exceeds ``max_size`` words.
     """
     if max_size is None:
@@ -62,20 +83,10 @@ def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
     for s in start:
         if s not in alphabet:
             raise ValueError(f"letter {s!r} not in alphabet")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in range(len(u) - 1):
-                a, b = u[i], u[i + 1]
-                if b in alphabet.commuting[a]:
-                    v = u[:i] + (b, a) + u[i + 2:]
-                    if v not in seen:
-                        if len(seen) >= max_size:
-                            raise BudgetError(
-                                f"commutation class exceeds {max_size} words")
-                        seen.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return seen
+    commuting = alphabet.commuting
+
+    def swaps(u):
+        return [u[:i] + (b, a) + u[i + 2:]
+                for i, (a, b) in enumerate(zip(u, u[1:])) if b in commuting[a]]
+
+    return _closure(start, swaps, max_size, "commutation class")

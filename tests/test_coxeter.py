@@ -213,6 +213,11 @@ def test_parse_graph_error_cites_line():
         parse_graph("generators: 2\nedge: 1 2\n")
 
 
+def test_parse_graph_json_conflict_cites_entry():
+    with pytest.raises(GraphParseError, match=r"^edge \[2, 1, 4\]: conflicting labels"):
+        parse_graph('{"rank": 2, "edges": [[1, 2, 3], [2, 1, 4]]}')
+
+
 # ---------------------------------------------------------------- words
 
 def test_is_reduced_examples():

@@ -11,6 +11,7 @@ from wordposets import (
     adjoin_min,
     build_word_poset,
     canonical_word,
+    count_class,
     count_linear_extensions,
     enumerate_linear_extensions,
     validate,
@@ -246,3 +247,26 @@ def test_bad_preds_rejected():
         WordPoset(("a",), (0b10,))
     with pytest.raises(ValueError):
         WordPoset(("a", "b"), (0b01, 0))
+
+
+def test_count_does_not_depend_on_position_order():
+    # the count peels minimal elements off up-sets, so it must not lean on
+    # positions following the word: permute them, or grow the poset by
+    # adjoin_min so that positions run opposite to the word
+    rng = random.Random(31)
+    for word, alpha in random_trace_corpus(40, seed=rng.randint(0, 10 ** 6)):
+        word = word[:8]
+        poset = build_word_poset(word, alpha)
+        order = list(range(len(word)))
+        rng.shuffle(order)
+        labels = [None] * len(word)
+        for x, s in enumerate(word):
+            labels[order[x]] = s
+        permuted = WordPoset.from_covers(labels, [(order[x], order[y]) for x, y in poset.covers()])
+        grown = WordPoset((), ())
+        for s in reversed(word):
+            grown = adjoin_min(grown, s, alpha)
+        assert grown.labels == word[::-1]
+        want = count_class(word, alpha)
+        for p in (poset, permuted, grown):
+            assert count_linear_extensions(p) == len(list(enumerate_linear_extensions(p))) == want

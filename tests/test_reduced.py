@@ -124,6 +124,19 @@ def test_oracle_reduced_budget():
         oracle_reduced(S4, W0_S4, max_words=5)
 
 
+@pytest.mark.parametrize("graph, word, size, classes", [
+    (CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)]), (1, 2, 3) * 6, 32, 1),
+    (S4, W0_S4, 16, 8),
+], ids=["one-class", "S4-w0"])
+def test_oracle_reduced_budget_edge(graph, word, size, classes):
+    # a cap of exactly the word count suffices, and no single class trips it
+    words, found = oracle_reduced(graph, word, max_words=size)
+    assert (len(words), found) == (size, classes)
+    assert oracle_reduced(graph, word) == (words, found)
+    with pytest.raises(BudgetError, match=f"^reduced-word closure exceeds {size - 1} words$"):
+        oracle_reduced(graph, word, max_words=size - 1)
+
+
 def test_counts_match_oracle_on_random_b3_elements():
     rng = random.Random(19)
     for _ in range(25):
