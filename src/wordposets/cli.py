@@ -163,16 +163,17 @@ def _cmd_check(args):
     graph, word = _graph_and_word(args)
     wp = reduced.wp_set(graph, word)
     poset_reduced = sum(count_linear_extensions(p) for p in wp)
+    recursion_reduced = reduced.count_reduced_words(graph, word)
     recursion_classes = reduced.count_classes(graph, word)
     oracle_words, oracle_classes = reduced.oracle_reduced(graph, word)
     failed = False
 
-    if poset_reduced == len(oracle_words):
+    if recursion_reduced == poset_reduced == len(oracle_words):
         print(f"reduced-count: PASS ({poset_reduced})")
     else:
         failed = True
-        print(f"reduced-count: FAIL (poset route {poset_reduced}, "
-              f"oracle {len(oracle_words)})")
+        print(f"reduced-count: FAIL (recursion {recursion_reduced}, "
+              f"poset route {poset_reduced}, oracle {len(oracle_words)})")
 
     if recursion_classes == oracle_classes == len(wp):
         print(f"class-count: PASS ({recursion_classes})")

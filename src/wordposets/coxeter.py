@@ -345,11 +345,6 @@ def _check_word(graph, word):
     return word
 
 
-def _check_generator(graph, a):
-    if type(a) is not int or not 1 <= a <= graph.rank:
-        raise ValueError(f"generator {a!r} out of range 1..{graph.rank}")
-
-
 # The column matrix of a word w holds, in column j, the coordinates of the
 # image under w of the j-th simple basis vector.  Appending a letter on the
 # right of w is a sparse column update; these helpers are the shared inner
@@ -544,9 +539,8 @@ def multiply_left(graph, a, word):
     Length goes up by one (letter prepended) when a is not a left descent,
     down by one (letter deleted) when it is.
     """
-    word = _check_word(graph, word)
-    _check_generator(graph, a)
-    _require_reduced(graph, word)
+    _check_word(graph, (a,))
+    word = _require_reduced(graph, word)
     t = _scan_left_deletion(graph, a, word)
     if t is None:
         return (a,) + word

@@ -55,15 +55,11 @@ def w0_word(n: int) -> tuple:
     return tuple(out)
 
 
-def _symmetric_group_graph(n: int) -> CoxeterGraph:
-    # rank n-1 generators; a rank-1 graph stands in for the degenerate n=1
-    return CoxeterGraph.type_a(max(1, n - 1))
-
-
 def p_n(n: int, *, memo_cap: int | None = None) -> int:
     """Number of primitive sorting networks on n wires, as the number of
     commutation classes of reduced words of the longest element."""
-    return count_classes(_symmetric_group_graph(n), w0_word(n), memo_cap=memo_cap)
+    # rank n-1 generators; a rank-1 graph stands in for the degenerate n=1
+    return count_classes(CoxeterGraph.type_a(max(1, n - 1)), w0_word(n), memo_cap=memo_cap)
 
 
 def p_sequence(n_max: int, *, memo_cap: int | None = None) -> list:

@@ -87,9 +87,6 @@ class WordPoset:
         """Strict order: x < y."""
         return self.preds[y] >> x & 1 == 1
 
-    def leq(self, x, y) -> bool:
-        return x == y or self.less(x, y)
-
     def covers(self):
         """Cover pairs (x, y) with x < y and nothing in between."""
         out = []

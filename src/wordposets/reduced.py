@@ -1,16 +1,16 @@
 """Commutation classes of reduced words in a Coxeter group.
 
 The reduced words of a group element w split into commutation classes, and
-each class is captured by its word poset.  This module builds the full set
-of those posets by recursion on left descents, counts the classes by an
-inclusion-exclusion recursion that never materializes the posets, counts
-the reduced words themselves as linear extensions, and cross-checks all of
-it against a breadth-first oracle that applies commutation and braid moves
-directly.  One loop, ``_levels``, grows elements up from the identity on
-their states (see ``coxeter``): the whole group for ``iter_elements`` and
-the search in ``networks``, or the lower interval [e, w] of one element,
-where both recursions fold bottom-up over the last few levels; the class
-count is ``_count_levels``, also the search's, and each poset is built once.
+each class is captured by its word poset.  Three recursions on left
+descents run here: one builds the full set of those posets, one counts the
+classes by inclusion-exclusion without materializing them, and one counts
+the reduced words, R(w) = sum over a in D(w) of R(aw).  A breadth-first
+oracle that applies commutation and braid moves directly cross-checks all
+of it.  One loop, ``_levels``, grows elements up from the identity on their
+states (see ``coxeter``): the whole group for ``iter_elements`` and the
+search in ``networks``, or the lower interval [e, w] of one element.  One
+fold, ``_fold``, carries each recursion bottom-up over the last few levels
+of that growth, so every value is computed once.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from .alphabet import CommutationAlphabet
 from .coxeter import (
     CanonicalElement,
-    INFINITY,
     element_state,
     state_descents,
     step_state,
@@ -34,7 +33,8 @@ from .coxeter import (
     matrix_key,  # noqa: F401
 )
 from .errors import BudgetError, SignToleranceError
-from .poset import WordPoset, adjoin_min, canonical_word, count_linear_extensions
+from .poset import DEFAULT_MAX_POSITIONS, WordPoset, adjoin_min, canonical_word
+from .poset import count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
 from .trace import _closure, oracle_enumerate_class
 
 __all__ = [
@@ -86,6 +86,31 @@ def _independent_subsets(graph, descents):
     return out
 
 
+def _fold(graph, step, depth, memo_cap, what, **growth):
+    """Each level of ``_levels(graph, **growth)`` with the values of its
+    elements, step(key, link, window): ``window`` holds the values of the
+    last ``depth`` levels, newest last, and ``link`` maps each left descent
+    a to the key of a*element a level down.  At most ``memo_cap`` values
+    are held at once."""
+    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
+    window = []
+    for level, links in _levels(graph, **growth):
+        if sum(map(len, window)) + len(links) > cap:
+            raise BudgetError(f"{what} memo exceeds {cap} entries")
+        here = {key: step(key, link, window) for key, link in links.items()}
+        window.append(here)
+        del window[:-depth]
+        yield level, here
+
+
+def _top(levels):
+    """The value of w, alone on the last level of a fold over [e, w]."""
+    for _level, values in levels:
+        pass
+    (value,) = values.values()
+    return value
+
+
 def _count_levels(graph, memo_cap=None, **growth):
     """Each level of ``_levels(graph, **growth)`` with the class counts of
     its elements, C(u) = sum over T of (-1)^(len(T)+1) * C(Tu).
@@ -96,7 +121,6 @@ def _count_levels(graph, memo_cap=None, **growth):
     Counts are kept for as many levels as a commuting T can have letters,
     at most ``memo_cap`` at once.
     """
-    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     terms = functools.cache(lambda ds: _independent_subsets(graph, ds))
     groups = []  # of pairwise non-commuting generators; T meets each at most once
     for a in graph.generators:
@@ -104,20 +128,14 @@ def _count_levels(graph, memo_cap=None, **growth):
         if group is None:
             groups.append(group := set())
         group.add(a)
-    counts = []
-    for level, links in _levels(graph, **growth):
-        here, live = {}, sum(map(len, counts))
-        for key, link in links.items():
-            states, c = [key], 0 if link else 1  # only the identity has no links
-            for i, a, d, sign in terms(frozenset(link)):
-                states.append(link[a] if d == -1 else step_state(graph, states[i], a))
-                c += sign * counts[d][states[-1]]
-            if live + len(here) >= cap:
-                raise BudgetError(f"class-count memo exceeds {cap} entries")
-            here[key] = c
-        counts.append(here)
-        del counts[:-len(groups)]
-        yield level, here
+
+    def count(key, link, counts):
+        states, c = [key], 0 if link else 1  # only the identity has no links
+        for i, a, d, sign in terms(frozenset(link)):
+            states.append(link[a] if d == -1 else step_state(graph, states[i], a))
+            c += sign * counts[d][states[-1]]
+        return c
+    return _fold(graph, count, len(groups), memo_cap, "class-count", **growth)
 
 
 class ClassCounter:
@@ -135,23 +153,17 @@ class ClassCounter:
 
     ``count`` folds this bottom-up over the lower interval [e, w]
     (``_count_levels``); ``memo_cap`` bounds the counts held at once in that
-    window.  The counter keeps the value of each word it was asked about.
+    window.
     """
 
     def __init__(self, graph, *, memo_cap: int | None = None):
         self.graph = graph
         self.memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
-        self._roots = {}
 
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
         already be reduced over the counter's graph."""
-        word = tuple(word)
-        if word not in self._roots:
-            for _level, counts in _count_levels(self.graph, self.memo_cap, word=word):
-                pass
-            (self._roots[word],) = counts.values()
-        return self._roots[word]
+        return _top(_count_levels(self.graph, self.memo_cap, word=tuple(word)))
 
 
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
@@ -173,30 +185,30 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     names w.
     """
     word = _require_reduced(graph, word)
-    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
     alphabet = CommutationAlphabet.from_coxeter(graph)
-    commuting = graph.commuting
-    below = {}
-    for _level, links in _levels(graph, word=word):
-        here = {}
-        for key, link in links.items():
-            if len(below) + len(here) >= cap:
-                raise BudgetError(f"word-poset memo exceeds {cap} entries")
-            here[key] = [adjoin_min(p, a, alphabet) for a, k in link.items() for p in below[k]
-                         if not any(q == 0 and b < a and b in commuting[a - 1]
-                                    for b, q in zip(p.labels, p.preds))] \
-                if below else [WordPoset((), ())]
-        below = here
-    (posets,) = below.values()
+
+    def adjoin(key, link, window):
+        return [adjoin_min(p, a, alphabet) for a, k in link.items() for p in window[-1][k]
+                if not any(q == 0 and b < a and b in graph.commuting[a - 1]
+                           for b, q in zip(p.labels, p.preds))] \
+            if link else [WordPoset((), ())]  # only the identity has no links
+    posets = _top(_fold(graph, adjoin, 1, memo_cap, "word-poset", word=word))
     posets = dict(sorted((canonical_word(p, alphabet), p) for p in posets))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
 def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
-    """Number of reduced words of the element: linear extensions summed over
-    the word posets of its classes."""
-    posets = wp_set(graph, word, memo_cap=memo_cap)
-    return sum(count_linear_extensions(p) for p in posets)
+    """Number of reduced words of the element, R(u) = sum over left descents
+    a of R(au) with R(identity) = 1, folded over the lower interval keeping
+    two levels of at most ``memo_cap`` counts; no poset is built, but the
+    words stay within the 64-position cap of the class posets."""
+    word = _require_reduced(graph, word)
+    if len(word) > DEFAULT_MAX_POSITIONS:
+        raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
+
+    def words(key, link, window):
+        return sum(window[-1][k] for k in link.values()) if link else 1
+    return _top(_fold(graph, words, 1, memo_cap, "reduced-word", word=word))
 
 
 def _move_neighbors(graph, w):
@@ -204,15 +216,15 @@ def _move_neighbors(graph, w):
 
     A move replaces a segment a b a b ... of length m(a,b) starting at some
     position by the same alternation started from b; m = 2 is the adjacent
-    commuting swap.
+    commuting swap; an infinite label never fits.
     """
-    out = []
+    labels, out = graph._labels, []
     for p in range(len(w) - 1):
         a, b = w[p], w[p + 1]
         if a == b:
             continue
-        m = graph.label(a, b)
-        if m == INFINITY or p + m > len(w):
+        m = labels[a - 1][b - 1]
+        if p + m > len(w):
             continue
         seg = w[p:p + m]
         if seg[2:] == seg[:-2]:

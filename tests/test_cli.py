@@ -208,6 +208,15 @@ def test_check_exits_3_on_mismatch(files, capsys, monkeypatch):
     assert "class-count: FAIL" in out
 
 
+def test_check_compares_the_reduced_word_fold(files, capsys, monkeypatch):
+    monkeypatch.setattr("wordposets.reduced.count_reduced_words",
+                        lambda graph, word, **kw: 999)
+    code, out, _ = run(capsys, ["check", "--graph", files["a2.cox"],
+                                "--word", "1 2 1"])
+    assert code == 3
+    assert "reduced-count: FAIL (recursion 999, poset route 2, oracle 2)" in out
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_usage_error_no_command(capsys):
@@ -332,6 +341,21 @@ def test_large_labels_count_or_hit_the_ring_cap(tmp_path, capsys):
     code, out, err = run(capsys, ["count-classes", "--graph", str(graph), "--word", "1 2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "cap is 2520" in err
+
+
+def test_count_reduced_builds_no_posets(tmp_path, capsys, monkeypatch):
+    # (1 2 3 4)^15 is H4's longest element, c^(h/2) for the Coxeter number
+    # h = 30.  A regression pin of the descent fold's answer: no independent
+    # value of H4's reduced-word count is available offline to check it
+    # against.  The fold needs neither word posets nor their extensions.
+    def refuse(*args, **kwargs):
+        raise AssertionError("count-reduced built a word poset")
+    monkeypatch.setattr("wordposets.reduced.wp_set", refuse)
+    monkeypatch.setattr("wordposets.reduced.adjoin_min", refuse)
+    graph = tmp_path / "h4.cox"
+    graph.write_text("generators: 4\nedge: 1 2 5\nedge: 2 3 3\nedge: 3 4 3\n")
+    assert run(capsys, ["count-reduced", "--graph", str(graph), "--word",
+                        " ".join(["1 2 3 4"] * 15)]) == (0, "1852659333124308\n", "")
 
 
 def test_enum_classes_long_word_hits_poset_budget(files, capsys):

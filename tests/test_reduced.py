@@ -348,8 +348,26 @@ B4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)])
     (CoxeterGraph.type_a(5), (5, 4, 3, 2, 1), 292_864),
     (B3, (3, 3, 3), 42),
     (B4, (4, 4, 4, 4), 24_024),
-], ids=["S4", "S5", "S6", "B3", "B4"])
+    (CoxeterGraph.type_a(6), (6, 5, 4, 3, 2, 1), 1_100_742_656),
+    (CoxeterGraph.type_a(7), (7, 6, 5, 4, 3, 2, 1), 48_608_795_688_960),
+    (CoxeterGraph(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 4)]), (5,) * 5, 701_149_020),
+], ids=["S4", "S5", "S6", "B3", "B4", "S7", "S8", "B5"])
 def test_reduced_words_of_longest_elements_match_closed_forms(graph, shape, words):
     # staircase tableaux for S_n (Stanley), square tableaux for B_n (Haiman)
     w0 = list(iter_elements(graph))[-1]
     assert count_reduced_words(graph, w0) == standard_tableaux(shape) == words
+
+
+H3 = CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)])
+H4 = CoxeterGraph(4, [(1, 2, 5), (2, 3, 3), (3, 4, 3)])
+
+
+@pytest.mark.parametrize("graph, max_length, elements", [
+    (H3, None, 120), (H4, 10, 506)], ids=["H3", "H4-upto-10"])
+def test_reduced_word_fold_matches_the_poset_sum(graph, max_length, elements):
+    # the descent fold against linear extensions summed over the class posets
+    words = list(iter_elements(graph, max_length))
+    assert len(words) == elements
+    for word in words:
+        assert count_reduced_words(graph, word) == sum(
+            count_linear_extensions(p) for p in wp_set(graph, word))
