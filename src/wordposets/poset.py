@@ -69,6 +69,13 @@ class WordPoset:
             if p & ~full or p >> x & 1:
                 raise ValueError(f"bad predecessor set at element {x}")
 
+    @classmethod
+    def _closed(cls, labels, preds) -> "WordPoset":
+        """A poset from tuples this module built closed, without the check."""
+        poset = cls.__new__(cls)
+        poset.labels, poset.preds = labels, preds
+        return poset
+
     def __len__(self):
         return len(self.labels)
 
@@ -166,7 +173,7 @@ def build_word_poset(word, alphabet: CommutationAlphabet, *,
             if letters[i] not in alphabet.commuting[letters[j]]:
                 acc |= preds[i] | (1 << i)
         preds[j] = acc
-    return WordPoset(letters, preds)
+    return WordPoset._closed(letters, tuple(preds))
 
 
 def validate(poset: WordPoset, alphabet: CommutationAlphabet) -> list:
@@ -317,4 +324,4 @@ def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,
     xbit = 1 << m
     preds = [p | xbit if (p | 1 << y) & fights else p for y, p in enumerate(poset.preds)]
     preds.append(0)
-    return WordPoset(poset.labels + (symbol,), preds)
+    return WordPoset._closed(poset.labels + (symbol,), tuple(preds))

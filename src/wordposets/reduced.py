@@ -10,7 +10,7 @@ of it.  One loop, ``_levels``, grows elements up from the identity on their
 states (see ``coxeter``): the whole group for ``iter_elements`` and the
 search in ``networks``, or the lower interval [e, w] of one element.  One
 fold, ``_fold``, carries each recursion bottom-up over the last few levels
-of that growth, so every value is computed once.
+of that growth, computing each value once (the counts once per orbit).
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -19,6 +19,7 @@ The class count obeys a universal bound: for a nonempty reduced word,
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from .alphabet import CommutationAlphabet
@@ -86,20 +87,55 @@ def _independent_subsets(graph, descents):
     return out
 
 
-def _fold(graph, step, depth, memo_cap, what, **growth):
+@functools.lru_cache(maxsize=64)
+def _involutions(graph):
+    """State maps u -> sigma(u), block-wise coordinate permutations, of the
+    involutions sigma != id of the generators that keep every label and carry
+    ``state_rows[a]`` onto row sigma(a), as far as 256 search pairings reach."""
+    n, d, m, rows = graph.rank, graph.state_degree, graph._labels, graph.state_rows
+    sigma, budget, found, kinds = [None] * n, 256, [], [sorted(row) for row in m]
+
+    def search(i):  # sigma is set below i; pair i with itself or a later j of its kind
+        nonlocal budget
+        if i == n:
+            p = [sigma[j // d] * d + j % d for j in range(n * d)]
+            if p != sorted(p) and all(
+                    sorted((p[x], p[k], c) for x, k, c in rows[a]) == sorted(rows[sigma[a]])
+                    for a in range(n)):
+                found.append(operator.itemgetter(*p))
+            return
+        if sigma[i] is not None:
+            return search(i + 1)
+        for j in range(i, n):
+            if budget > 0 and sigma[j] is None and kinds[j] == kinds[i] and all(
+                    m[i][k] == m[j][t] for k, t in enumerate(sigma) if t is not None):
+                budget -= 1
+                sigma[i], sigma[j] = j, i
+                search(i + 1)
+                sigma[i] = sigma[j] = None
+    search(0)
+    return tuple(found)
+
+
+def _fold(graph, step, depth, memo_cap, what, orbits=False, **growth):
     """Each level of ``_levels(graph, **growth)`` with the values of its
     elements, step(key, link, window): ``window`` holds the values of the
     last ``depth`` levels, newest last, and ``link`` maps each left descent
-    a to the key of a*element a level down.  At most ``memo_cap`` values
-    are held at once."""
+    a to the state of a*element a level down.  At most ``memo_cap`` values
+    are held at once; with ``orbits``, one per orbit of an involution fixing w."""
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
+    flips = _involutions(graph) if orbits else ()
+    top = flips and element_state(graph, growth["word"][::-1])  # sigma fixes w iff w^-1
+    flip = next((f for f in flips if f(top) == top), None)
+    held = flip and type("Orbits", (dict,), {"__missing__": lambda self, y: self[flip(y)]}) or dict
     window = []
-    for level, links in _levels(graph, **growth):
+    for level, links in _levels(graph, flip=flip, **growth):
         if sum(map(len, window)) + len(links) > cap:
             raise BudgetError(f"{what} memo exceeds {cap} entries")
-        here = {key: step(key, link, window) for key, link in links.items()}
-        window.append(here)
-        del window[:-depth]
+        here = held()
+        for key, link in links.items():
+            here[key] = step(key, link, window)
+        window = (window + [here])[-depth:]
         yield level, here
 
 
@@ -152,8 +188,8 @@ class ClassCounter:
         C(w) = sum over T of (-1)^(len(T)+1) * C(Tw),    C(identity) = 1.
 
     ``count`` folds this bottom-up over the lower interval [e, w]
-    (``_count_levels``); ``memo_cap`` bounds the counts held at once in that
-    window.
+    (``_count_levels``), one element per orbit {u, sigma(u)} of a diagram
+    involution fixing w; ``memo_cap`` bounds the counts held at once.
     """
 
     def __init__(self, graph, *, memo_cap: int | None = None):
@@ -163,7 +199,7 @@ class ClassCounter:
     def count(self, word) -> int:
         """Number of commutation classes of reduced words; ``word`` must
         already be reduced over the counter's graph."""
-        return _top(_count_levels(self.graph, self.memo_cap, word=tuple(word)))
+        return _top(_count_levels(self.graph, self.memo_cap, word=tuple(word), orbits=True))
 
 
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
@@ -178,22 +214,23 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
 
     Recursion on left descents, bottom-up over the lower interval: a poset
     of u is a poset p of a shortened element au with a new minimal element
-    labeled a, the smallest minimal label.  So p gets a only when no minimal
-    element of p has a label b < a commuting with a (b would stay minimal),
-    and each class is built once, keeping two levels of at most ``memo_cap``
-    elements.  Each reduced word lies in one class, so the least class word
-    names w.
+    labeled a, the smallest minimal label.  So p, held with the bit set of
+    its minimal labels, gets a only when none is a b < a commuting with a
+    (b would stay minimal), and each class is built once, keeping two levels
+    of at most ``memo_cap`` elements.  Each reduced word lies in one class,
+    so the least class word names w.
     """
     word = _require_reduced(graph, word)
     alphabet = CommutationAlphabet.from_coxeter(graph)
+    commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
+    below = {a: c & (1 << a) - 1 for a, c in commute.items()}
 
     def adjoin(key, link, window):
-        return [adjoin_min(p, a, alphabet) for a, k in link.items() for p in window[-1][k]
-                if not any(q == 0 and b < a and b in graph.commuting[a - 1]
-                           for b, q in zip(p.labels, p.preds))] \
-            if link else [WordPoset((), ())]  # only the identity has no links
+        return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a])
+                for a, k in link.items() for p, mins in window[-1][k] if not mins & below[a]] \
+            if link else [(WordPoset((), ()), 0)]  # only the identity has no links
     posets = _top(_fold(graph, adjoin, 1, memo_cap, "word-poset", word=word))
-    posets = dict(sorted((canonical_word(p, alphabet), p) for p in posets))
+    posets = dict(sorted((canonical_word(p, alphabet), p) for p, _mins in posets))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
@@ -208,7 +245,7 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
 
     def words(key, link, window):
         return sum(window[-1][k] for k in link.values()) if link else 1
-    return _top(_fold(graph, words, 1, memo_cap, "reduced-word", word=word))
+    return _top(_fold(graph, words, 1, memo_cap, "reduced-word", orbits=True, word=word))
 
 
 def _move_neighbors(graph, w):
@@ -269,7 +306,7 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None):
+def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip=None):
     """Group elements level by level: per length, a pair (level, links) of
     dicts keyed by state.  ``level`` maps each element to its canonical
     word, ``links`` to {a: state of a*element} over its left descents a.
@@ -285,11 +322,17 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None):
     suffixes u, each mapped to the state of u*w^-1 in place of a word: u
     grows to a*u exactly when a is a left descent of u*w^-1, and the growth
     must end at one element after len(word) steps, else SignToleranceError.
+    With the ``flip`` of an involution sigma fixing w, a level keeps the
+    lesser state of each orbit: a child c = a*r with flip(c) < c is kept as
+    flip(c), linked under sigma(a) to flip(r), and one with flip(c) = c under
+    a and sigma(a).
     """
     top = None if word is None else element_state(graph, word[::-1])
     level = {element_state(graph): () if top is None else top}
     links = {key: {} for key in level}
-    gens = graph.generators
+    gens, d = graph.generators, graph.state_degree  # flip moves block sigma(a) to a
+    sigma = flip and [0] + [t // d + 1 for t in flip(range(graph.rank * d))[::d]]
+    mirrored = flip and type("Mirrored", (dict,), {"__missing__": lambda s, y: flip(s[flip(y)])})
     length = 0
     while level:
         for key, link in links.items():
@@ -306,9 +349,18 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None):
                 steps = state_descents(graph, value)
                 if bool(steps) != (length < len(word)) or not steps and len(level) > 1:
                     raise SignToleranceError("lower interval does not end at the element")
-            for a in steps:
+            for a in () if flip else steps:
                 up.setdefault(step_state(graph, key, a), {})[a] = key
-        nxt = {}
+            mirror = flip and flip(key)
+            for a in steps if flip else ():
+                child = step_state(graph, key, a)
+                if (image := flip(child)) < child:
+                    up.setdefault(image, {})[sigma[a]] = mirror
+                else:
+                    up.setdefault(child, {})[a] = key
+                    if image == child:
+                        up[child][sigma[a]] = mirror
+        nxt = mirrored() if flip else {}
         for child, link in up.items():
             a = min(link)
             value = level[link[a]]

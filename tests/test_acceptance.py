@@ -7,9 +7,11 @@ way is pooled; the final criterion re-validates the whole pool against the
 structural conditions.
 
 The stretch check for the 9-wire sorting-network count runs by default and
-takes about 10 s.
+takes about 6 s.  The 10-wire count takes about 80-100 s and 290 MB, and
+runs only with WORDPOSETS_STRETCH=1 in the environment.
 """
 
+import os
 import time
 
 import pytest
@@ -74,6 +76,17 @@ def test_criterion_1_stretch_nine_wires():
     value = p_n(9)
     _report("criterion 1 stretch (9-wire count)", value == 112018190,
             f"got {value}")
+
+
+@pytest.mark.skipif(os.environ.get("WORDPOSETS_STRETCH") != "1",
+                    reason="P(10) takes about 100 s; set WORDPOSETS_STRETCH=1")
+def test_criterion_1_stretch_ten_wires():
+    # OEIS A006245, under the default memo cap
+    start = time.monotonic()
+    value = p_n(10)
+    elapsed = time.monotonic() - start
+    _report("criterion 1 stretch (10-wire count)", value == 18410581880,
+            f"got {value} in {elapsed:.0f}s")
 
 
 def test_criterion_2_symmetric_group_oracle_equivalence():
