@@ -169,8 +169,7 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
 
     best = {}
     for level, counts in _count_levels(graph, memo_cap, max_length=max_len, admit=admit):
-        for key, c in counts.items():
-            word = level[key]
+        for word, c in zip(level.values(), counts):
             # the most classes first, then the least word
             if len(set(word)) == n and (-c, word) < best.get(len(word), (0,)):
                 best[len(word)] = (-c, word)
@@ -221,32 +220,18 @@ def _compose_parts(table, k, max_rank):
     dp = {(0, 0): (1, ())}
     for length in range(1, k + 1):
         for rank_used in range(1, max_rank + 1):
-            best = None
-            for (r, part_len), (c, _g, _w) in table.items():
-                if part_len > length or r > rank_used:
-                    continue
-                prev = dp.get((length - part_len, rank_used - r))
-                if prev is None:
-                    continue
-                value = prev[0] * c
-                parts = tuple(sorted(prev[1] + ((r, part_len),)))
-                if best is None or value > best[0] or \
-                        (value == best[0] and parts < best[1]):
-                    best = (value, parts)
-            if best is not None:
-                dp[(length, rank_used)] = best
-    candidates = [dp[(k, r)] for r in range(max_rank + 1) if (k, r) in dp]
-    if not candidates:
-        return None
-    best_value = max(value for value, _parts in candidates)
-    best_parts = min(parts for value, parts in candidates if value == best_value)
-    return best_value, best_parts
+            options = [(prev[0] * c, tuple(sorted(prev[1] + ((r, part_len),))))
+                       for (r, part_len), (c, _g, _w) in table.items()
+                       if part_len <= length and r <= rank_used
+                       and (prev := dp.get((length - part_len, rank_used - r)))]
+            if options:  # the largest product, then the least parts
+                dp[(length, rank_used)] = min(options, key=lambda best: (-best[0], best[1]))
+    return min((dp[(k, r)] for r in range(max_rank + 1) if (k, r) in dp),
+               key=lambda best: (-best[0], best[1]), default=None)
 
 
 def _combine_witness(table, parts):
-    edges = []
-    word = []
-    offset = 0
+    edges, word, offset = [], [], 0
     for r, part_len in parts:
         _c, label_tuple, part_word = table[(r, part_len)]
         for (i, j), m in zip(_pair_order(r), label_tuple):

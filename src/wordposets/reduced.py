@@ -10,7 +10,8 @@ of it.  One loop, ``_levels``, grows elements up from the identity on their
 states (see ``coxeter``): the whole group for ``iter_elements`` and the
 search in ``networks``, or the lower interval [e, w] of one element.  One
 fold, ``_fold``, carries each recursion bottom-up over the last few levels
-of that growth, computing each value once (the counts once per orbit).
+of that growth, computing each value once (the counts once per orbit) into
+lists by element id, following integer link codes rather than states.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -53,6 +54,8 @@ __all__ = [
 
 DEFAULT_MEMO_CAP = 1_000_000
 DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
+# a descent tuple, held once, with the bit set of its letters
+_kinds = functools.lru_cache(maxsize=1 << 12)(lambda ds: (ds, sum(1 << a for a in ds)))
 
 
 @dataclass
@@ -117,24 +120,29 @@ def _involutions(graph):
     return tuple(found)
 
 
+def _sigma(graph, flip):
+    """[0, sigma(1), ..., sigma(n)] for the state map ``flip`` of sigma."""
+    d = graph.state_degree
+    return [0] + [t // d + 1 for t in flip(range(graph.rank * d))[::d]]
+
+
 def _fold(graph, step, depth, memo_cap, what, orbits=False, **growth):
-    """Each level of ``_levels(graph, **growth)`` with the values of its
-    elements, step(key, link, window): ``window`` holds the values of the
-    last ``depth`` levels, newest last, and ``link`` maps each left descent
-    a to the state of a*element a level down.  At most ``memo_cap`` values
-    are held at once; with ``orbits``, one per orbit of an involution fixing w."""
+    """Each level of ``_levels(graph, **growth)`` with its values by id,
+    step(b, trail, window, swap) for the element at links slot b: ``trail``
+    holds the last ``depth`` links lists, ``window`` the values of the
+    ``depth`` levels below, newest last, and swap[f][a] is sigma^f(a).  At
+    most ``memo_cap`` values are held at once; with ``orbits``, one per orbit
+    of an involution sigma fixing w^-1, so w (C and R are constant on orbits)."""
     cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
-    flips = _involutions(graph) if orbits else ()
-    top = flips and element_state(graph, growth["word"][::-1])  # sigma fixes w iff w^-1
-    flip = next((f for f in flips if f(top) == top), None)
-    held = flip and type("Orbits", (dict,), {"__missing__": lambda self, y: self[flip(y)]}) or dict
-    window = []
-    for level, links in _levels(graph, flip=flip, **growth):
-        if sum(map(len, window)) + len(links) > cap:
+    top = element_state(graph, growth["word"][::-1]) if "word" in growth else None
+    flip = next((f for f in _involutions(graph) if f(top) == top), None) if orbits else None
+    swap = (same := list(range(graph.rank + 1)), _sigma(graph, flip) if flip else same)
+    trail, window = [], []
+    for level, links in _levels(graph, flip=flip, top=top, **growth):
+        if sum(map(len, window)) + len(level) > cap:
             raise BudgetError(f"{what} memo exceeds {cap} entries")
-        here = held()
-        for key, link in links.items():
-            here[key] = step(key, link, window)
+        trail = (trail + [links])[-depth:]
+        here = [step(b, trail, window, swap) for b in range(0, len(links), graph.rank + 1)]
         window = (window + [here])[-depth:]
         yield level, here
 
@@ -143,21 +151,22 @@ def _top(levels):
     """The value of w, alone on the last level of a fold over [e, w]."""
     for _level, values in levels:
         pass
-    (value,) = values.values()
+    (value,) = values
     return value
 
 
 def _count_levels(graph, memo_cap=None, **growth):
     """Each level of ``_levels(graph, **growth)`` with the class counts of
-    its elements, C(u) = sum over T of (-1)^(len(T)+1) * C(Tu).
+    its elements by id, C(u) = sum over T of (-1)^(len(T)+1) * C(Tu).
 
-    T runs over the pairwise-commuting subsets of u's links, listed once per
-    descent set as ``_independent_subsets`` steps; Tu is u's link when
-    len(T) is 1, else one generator step from T'u (T less its last letter).
-    Counts are kept for as many levels as a commuting T can have letters,
-    at most ``memo_cap`` at once.
+    T runs over the pairwise-commuting subsets of u's left descents, listed
+    once per descent tuple as ``_independent_subsets`` steps; Tu is reached
+    from T'u (T less its last letter a) through the link codes, never by a
+    generator step: with T'u's code 2*id + f, Tu's is the link of the element
+    id under sigma^f(a), xor f.  Counts are kept for as many levels as a
+    commuting T can have letters, at most ``memo_cap`` at once.
     """
-    terms = functools.cache(lambda ds: _independent_subsets(graph, ds))
+    terms, m = functools.cache(lambda ds: _independent_subsets(graph, ds)), graph.rank + 1
     groups = []  # of pairwise non-commuting generators; T meets each at most once
     for a in graph.generators:
         group = next((g for g in groups if not g & graph.commuting[a - 1]), None)
@@ -165,11 +174,13 @@ def _count_levels(graph, memo_cap=None, **growth):
             groups.append(group := set())
         group.add(a)
 
-    def count(key, link, counts):
-        states, c = [key], 0 if link else 1  # only the identity has no links
-        for i, a, d, sign in terms(frozenset(link)):
-            states.append(link[a] if d == -1 else step_state(graph, states[i], a))
-            c += sign * counts[d][states[-1]]
+    def count(b, trail, counts, swap):
+        codes, c = [b // m * 2], 0 if trail[-1][b] else 1  # only the identity has no links
+        for j, a, d, sign in terms(trail[-1][b]):
+            f = codes[j] & 1
+            code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
+            c += sign * counts[d][code >> 1]
+            codes.append(code)
         return c
     return _fold(graph, count, len(groups), memo_cap, "class-count", **growth)
 
@@ -225,10 +236,10 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
     below = {a: c & (1 << a) - 1 for a, c in commute.items()}
 
-    def adjoin(key, link, window):
-        return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a])
-                for a, k in link.items() for p, mins in window[-1][k] if not mins & below[a]] \
-            if link else [(WordPoset((), ()), 0)]  # only the identity has no links
+    def adjoin(b, trail, window, _swap):
+        return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a]) for a in trail[-1][b]
+                for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]] \
+            if trail[-1][b] else [(WordPoset((), ()), 0)]  # only the identity has no links
     posets = _top(_fold(graph, adjoin, 1, memo_cap, "word-poset", word=word))
     posets = dict(sorted((canonical_word(p, alphabet), p) for p, _mins in posets))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
@@ -243,8 +254,8 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     if len(word) > DEFAULT_MAX_POSITIONS:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
 
-    def words(key, link, window):
-        return sum(window[-1][k] for k in link.values()) if link else 1
+    def words(b, trail, window, _swap):
+        return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b]) if trail[-1][b] else 1
     return _top(_fold(graph, words, 1, memo_cap, "reduced-word", orbits=True, word=word))
 
 
@@ -306,67 +317,71 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip=None):
-    """Group elements level by level: per length, a pair (level, links) of
-    dicts keyed by state.  ``level`` maps each element to its canonical
-    word, ``links`` to {a: state of a*element} over its left descents a.
+def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip=None, top=None):
+    """Group elements level by level: per length, a pair (level, links).
+    ``level`` maps each element's state to its canonical word, its id being
+    its position there.  ``links`` holds rank + 1 slots per element: slot
+    id * (rank + 1) its left descents, and slot id * (rank + 1) + a the code
+    2 * id' + f of a*element (element id' a level down, under the ``flip``
+    if f is 1) for each left descent a, else -1.
 
     A child is a*u for a generator a that is not a left descent of u and
     that ``admit(word, ups)`` keeps of the list ``ups`` of such generators
-    (it must keep every suffix of a kept element).  So each element is grown
-    from a*element for each left descent a, and its links must match its
-    one descent read (else SignToleranceError).  A child's canonical word
-    is its smallest link letter before that link's word.
+    (it must keep every suffix of a kept element), so an element is linked
+    from a*element for each left descent a, as its one descent read must
+    confirm (else SignToleranceError).  A child's canonical word is its
+    smallest link letter before that link's word.
 
-    Given a reduced ``word`` of w, the levels are the interval [e, w] of its
-    suffixes u, each mapped to the state of u*w^-1 in place of a word: u
-    grows to a*u exactly when a is a left descent of u*w^-1, and the growth
-    must end at one element after len(word) steps, else SignToleranceError.
-    With the ``flip`` of an involution sigma fixing w, a level keeps the
-    lesser state of each orbit: a child c = a*r with flip(c) < c is kept as
-    flip(c), linked under sigma(a) to flip(r), and one with flip(c) = c under
-    a and sigma(a).
+    Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
+    levels are the interval [e, w] of its suffixes u, each mapped to the
+    state of u*w^-1 in place of a word: u grows to a*u exactly when a is a
+    left descent of u*w^-1, and the growth must end at one element after
+    len(word) steps, else SignToleranceError.  With the ``flip`` of an
+    involution sigma fixing w, a level keeps the lesser state of each orbit:
+    a child c = a*r with flip(c) < c is kept as flip(c), linked under
+    sigma(a) to flip(r), and one with flip(c) = c under a and sigma(a).
     """
-    top = None if word is None else element_state(graph, word[::-1])
-    level = {element_state(graph): () if top is None else top}
-    links = {key: {} for key in level}
-    gens, d = graph.generators, graph.state_degree  # flip moves block sigma(a) to a
-    sigma = flip and [0] + [t // d + 1 for t in flip(range(graph.rank * d))[::d]]
-    mirrored = flip and type("Mirrored", (dict,), {"__missing__": lambda s, y: flip(s[flip(y)])})
-    length = 0
+    top = element_state(graph, word[::-1]) if top is None and word is not None else top
+    gens, m, sigma = graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
+    blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
+    level, links, length = {element_state(graph): () if top is None else top}, blank[:], 0
     while level:
-        for key, link in links.items():
-            if link.keys() != set(state_descents(graph, key)):
+        for b, key in zip(range(0, len(links), m), level):
+            ds, bits = _kinds(tuple(state_descents(graph, key)))
+            if links[b] != bits:
                 raise SignToleranceError("descent read disagrees with the growth links")
+            links[b] = ds
         yield level, links
         if max_length is not None and length >= max_length:
             return
-        up = {}
-        for key, value in level.items():
+        ids, up, values = {}, [], list(level.values())
+        for i, (key, value) in enumerate(level.items()):
             if top is None:
-                steps = admit(value, [a for a in gens if a not in links[key]])
+                steps = admit(value, [a for a in gens if a not in links[i * m]])
             else:
                 steps = state_descents(graph, value)
                 if bool(steps) != (length < len(word)) or not steps and len(level) > 1:
                     raise SignToleranceError("lower interval does not end at the element")
-            for a in () if flip else steps:
-                up.setdefault(step_state(graph, key, a), {})[a] = key
-            mirror = flip and flip(key)
-            for a in steps if flip else ():
-                child = step_state(graph, key, a)
-                if (image := flip(child)) < child:
-                    up.setdefault(image, {})[sigma[a]] = mirror
-                else:
-                    up.setdefault(child, {})[a] = key
-                    if image == child:
-                        up[child][sigma[a]] = mirror
-        nxt = mirrored() if flip else {}
-        for child, link in up.items():
-            a = min(link)
-            value = level[link[a]]
-            nxt[child] = (a,) + value if top is None else step_state(graph, value, a)
-        level, links = nxt, up
-        length += 1
+            own, mirror = 2 * i, 2 * i + 1  # one code object per parent, not per link
+            for a in steps:
+                child, code = step_state(graph, key, a), own
+                if flip and (image := flip(child)) < child:
+                    child, a, code = image, sigma[a], mirror
+                c = ids.setdefault(child, len(ids)) * m
+                if c == len(up):
+                    up += blank
+                up[c + a] = code
+                up[c] |= 1 << a
+        for child, c in ids.items():
+            c *= m
+            if flip and flip(child) == child:  # a fixed child a*r is sigma(a)*flip(r) too
+                for a in [a for a in gens if up[c + a] >= 0]:
+                    up[c + sigma[a]], up[c] = up[c + a] ^ 1, up[c] | 1 << sigma[a]
+            a = (up[c] & -up[c]).bit_length() - 1  # the smallest link letter
+            code = up[c + a]
+            ids[child] = (a,) + values[code >> 1] if top is None else \
+                step_state(graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+        level, links, length = ids, up, length + 1
 
 
 def iter_elements(graph, max_length: int | None = None):

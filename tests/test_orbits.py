@@ -93,14 +93,28 @@ def test_no_involution_fixes_a_moved_element(graph, word):
     assert _flip(graph, word) is None
 
 
+def _decoded(levels, flip):
+    # each level with its links as {state: {a: actual state of a*element}},
+    # the code 2 * id + f read through the previous level's key order and,
+    # when f is 1, the flip
+    out, keys = [], []
+    for level, links in levels:
+        m = len(links) // len(level)
+        out.append((level, {y: {a: flip(keys[c >> 1]) if c & 1 else keys[c >> 1]
+                                for a in range(1, m) if (c := links[i * m + a]) >= 0}
+                            for i, y in enumerate(level)}))
+        keys = list(level)
+    return out
+
+
 @pytest.mark.parametrize("graph, word", [
     (A4, None), (D4, None), (AFFINE_A3, (2, 1, 3, 2, 4, 1, 3, 2))],
     ids=["A4-w0", "D4-w0", "affine-A3"])
 def test_orbit_growth_keeps_the_lesser_state_with_actual_links(graph, word):
     word = _longest(graph) if word is None else word
     flip = _flip(graph, word)
-    folded = list(_levels(graph, word=word, flip=flip))
-    full = list(_levels(graph, word=word))
+    folded = _decoded(_levels(graph, word=word, flip=flip), flip)
+    full = _decoded(_levels(graph, word=word), flip)
     assert len(folded) == len(full) == len(word) + 1
     for (level, links), (full_level, full_links) in zip(folded, full):
         assert set(level) == {min(y, flip(y)) for y in full_level}
@@ -144,3 +158,26 @@ def test_memo_cap_counts_orbit_representatives(monkeypatch):
     _unfolded(monkeypatch)
     with pytest.raises(BudgetError, match=f"class-count memo exceeds {CAP} entries"):
         p_n(7, memo_cap=CAP)
+
+
+def test_memo_cap_boundary_is_the_orbit_window_peak():
+    # the window peaks at exactly 1,112 orbit representatives on S7
+    assert p_n(7, memo_cap=1112) == 24698
+    with pytest.raises(BudgetError, match="class-count memo exceeds 1111 entries"):
+        p_n(7, memo_cap=1111)
+
+
+def test_class_count_takes_no_generator_steps_of_its_own(monkeypatch):
+    # S7's folded interval has 2,544 orbit representatives and 7,632 growth
+    # edges; the growth steps once per edge and once per element past the
+    # identity for the state of u*w^-1, 10,175 in all.  Stepping each Tu
+    # with len(T) >= 2 from T'u took 17,810.
+    calls = []
+    step_state = reduced.step_state
+    monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
+    assert p_n(7) == 24698
+    assert len(calls) == 10175
+    graph, word = CoxeterGraph.type_a(6), w0_word(7)
+    calls.clear()
+    elements = sum(len(level) for level, _links in _levels(graph, word=word, flip=_flip(graph, word)))
+    assert (elements, len(calls)) == (2544, 10175)
