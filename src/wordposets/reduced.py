@@ -1,17 +1,17 @@
 """Commutation classes of reduced words in a Coxeter group.
 
 The reduced words of a group element w split into commutation classes, and
-each class is captured by its word poset.  Three recursions on left
-descents run here: one builds the full set of those posets, one counts the
-classes by inclusion-exclusion without materializing them, and one counts
-the reduced words, R(w) = sum over a in D(w) of R(aw).  A breadth-first
-oracle that applies commutation and braid moves directly cross-checks all
-of it.  One loop, ``_levels``, grows elements up from the identity on their
-states (see ``coxeter``): the whole group for ``iter_elements`` and the
-search in ``networks``, or the lower interval [e, w] of one element.  One
-fold, ``_fold``, carries each recursion bottom-up over the last few levels
-of that growth, computing each value once (the counts once per orbit) into
-lists by element id, following integer link codes rather than states.
+each class is captured by its word poset.  Three recursions on left descents
+run here: one builds the full set of those posets, one counts the classes by
+inclusion-exclusion without materializing them, and one counts the reduced
+words, R(w) = sum over a in D(w) of R(aw).  A breadth-first oracle of
+commutation and braid moves cross-checks all of it.  One loop, ``_levels``,
+grows elements up from the identity on their states (see ``coxeter``): the
+whole group for ``iter_elements`` and the search in ``networks``, or the
+lower interval [e, w] of one element.  One fold, ``_fold``, carries each
+recursion bottom-up from the identity's value, given by its caller, over the
+last few levels of that growth, into lists by element id (the counts once
+per orbit), following integer link codes rather than states.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -126,23 +126,24 @@ def _sigma(graph, flip):
     return [0] + [t // d + 1 for t in flip(range(graph.rank * d))[::d]]
 
 
-def _fold(graph, step, depth, memo_cap, what, orbits=False, **growth):
+def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     """Each level of ``_levels(graph, **growth)`` with its values by id,
-    step(b, trail, window, swap) for the element at links slot b: ``trail``
-    holds the last ``depth`` links lists, ``window`` the values of the
-    ``depth`` levels below, newest last, and swap[f][a] is sigma^f(a).  At
-    most ``memo_cap`` values are held at once; with ``orbits``, one per orbit
-    of an involution sigma fixing w^-1, so w (C and R are constant on orbits)."""
-    cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
+    [seed] for the identity and step(b, trail, window, swap) for the element
+    at links slot b: ``trail`` holds the last ``depth`` links lists,
+    ``window`` the values of the ``depth`` levels below, newest last, and
+    swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at once;
+    with ``orbits``, one per orbit of an involution sigma fixing w^-1, so w
+    (C and R are constant on orbits)."""
+    cap, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1
     top = element_state(graph, growth["word"][::-1]) if "word" in growth else None
     flip = next((f for f in _involutions(graph) if f(top) == top), None) if orbits else None
-    swap = (same := list(range(graph.rank + 1)), _sigma(graph, flip) if flip else same)
+    swap = (same := list(range(m)), _sigma(graph, flip) if flip else same)
     trail, window = [], []
     for level, links in _levels(graph, flip=flip, top=top, **growth):
         if sum(map(len, window)) + len(level) > cap:
             raise BudgetError(f"{what} memo exceeds {cap} entries")
         trail = (trail + [links])[-depth:]
-        here = [step(b, trail, window, swap) for b in range(0, len(links), graph.rank + 1)]
+        here = [step(b, trail, window, swap) for b in range(0, len(links), m)] if window else [seed]
         window = (window + [here])[-depth:]
         yield level, here
 
@@ -162,9 +163,10 @@ def _count_levels(graph, memo_cap=None, **growth):
     T runs over the pairwise-commuting subsets of u's left descents, listed
     once per descent tuple as ``_independent_subsets`` steps; Tu is reached
     from T'u (T less its last letter a) through the link codes, never by a
-    generator step: with T'u's code 2*id + f, Tu's is the link of the element
-    id under sigma^f(a), xor f.  Counts are kept for as many levels as a
-    commuting T can have letters, at most ``memo_cap`` at once.
+    generator step: with T'u's code 2*id + f, Tu's is the link of the
+    element id under sigma^f(a), xor f.  Counts are kept for one level per
+    greedy group below, no fewer than a commuting T has letters (more on an
+    odd cycle of non-commuting generators), at most ``memo_cap`` at once.
     """
     terms, m = functools.cache(lambda ds: _independent_subsets(graph, ds)), graph.rank + 1
     groups = []  # of pairwise non-commuting generators; T meets each at most once
@@ -175,14 +177,14 @@ def _count_levels(graph, memo_cap=None, **growth):
         group.add(a)
 
     def count(b, trail, counts, swap):
-        codes, c = [b // m * 2], 0 if trail[-1][b] else 1  # only the identity has no links
+        codes, c = [b // m * 2], 0
         for j, a, d, sign in terms(trail[-1][b]):
             f = codes[j] & 1
             code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
             c += sign * counts[d][code >> 1]
             codes.append(code)
         return c
-    return _fold(graph, count, len(groups), memo_cap, "class-count", **growth)
+    return _fold(graph, count, 1, len(groups), memo_cap, "class-count", **growth)
 
 
 class ClassCounter:
@@ -238,10 +240,9 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
 
     def adjoin(b, trail, window, _swap):
         return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a]) for a in trail[-1][b]
-                for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]] \
-            if trail[-1][b] else [(WordPoset((), ()), 0)]  # only the identity has no links
-    posets = _top(_fold(graph, adjoin, 1, memo_cap, "word-poset", word=word))
-    posets = dict(sorted((canonical_word(p, alphabet), p) for p, _mins in posets))
+                for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
+    levels = _fold(graph, adjoin, [(WordPoset((), ()), 0)], 1, memo_cap, "word-poset", word=word)
+    posets = dict(sorted((canonical_word(p, alphabet), p) for p, _mins in _top(levels)))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
@@ -255,8 +256,8 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
 
     def words(b, trail, window, _swap):
-        return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b]) if trail[-1][b] else 1
-    return _top(_fold(graph, words, 1, memo_cap, "reduced-word", orbits=True, word=word))
+        return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b])
+    return _top(_fold(graph, words, 1, 1, memo_cap, "reduced-word", orbits=True, word=word))
 
 
 def _move_neighbors(graph, w):
@@ -325,21 +326,21 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     2 * id' + f of a*element (element id' a level down, under the ``flip``
     if f is 1) for each left descent a, else -1.
 
-    A child is a*u for a generator a that is not a left descent of u and
-    that ``admit(word, ups)`` keeps of the list ``ups`` of such generators
-    (it must keep every suffix of a kept element), so an element is linked
-    from a*element for each left descent a, as its one descent read must
-    confirm (else SignToleranceError).  A child's canonical word is its
-    smallest link letter before that link's word.
+    A child is a*u for a generator a that is not a left descent of u and that
+    ``admit(word, ups)`` keeps of the list ``ups`` of such generators (it
+    must keep every suffix of a kept element), so an element is linked from
+    a*element for each left descent a.  A level is read, yielded, then grown;
+    its descent read must confirm the links, else SignToleranceError, and
+    sets each value from that of a*element, a the least left descent.
 
     Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
     levels are the interval [e, w] of its suffixes u, each mapped to the
-    state of u*w^-1 in place of a word: u grows to a*u exactly when a is a
-    left descent of u*w^-1, and the growth must end at one element after
-    len(word) steps, else SignToleranceError.  With the ``flip`` of an
-    involution sigma fixing w, a level keeps the lesser state of each orbit:
-    a child c = a*r with flip(c) < c is kept as flip(c), linked under
-    sigma(a) to flip(r), and one with flip(c) = c under a and sigma(a).
+    state of u*w^-1 = a*(a*u*w^-1) in place of a word: u grows to a*u exactly
+    when a is a left descent of u*w^-1, and the growth must end at one
+    element after len(word) steps, else SignToleranceError.  With the
+    ``flip`` of an involution sigma fixing w, a level keeps the lesser state
+    of each orbit: a child c = a*r with flip(c) < c is kept as flip(c),
+    linked under sigma(a) to flip(r), and a fixed one under a and sigma(a).
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
     gens, m, sigma = graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
@@ -351,6 +352,11 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
             if links[b] != bits:
                 raise SignToleranceError("descent read disagrees with the growth links")
             links[b] = ds
+            if ds:  # the value through the least left descent
+                a, code = ds[0], links[b + ds[0]]
+                level[key] = (a,) + values[code >> 1] if top is None else step_state(
+                    graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+        values = None  # the level below goes before the caller folds this one
         yield level, links
         if max_length is not None and length >= max_length:
             return
@@ -370,17 +376,9 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
                 c = ids.setdefault(child, len(ids)) * m
                 if c == len(up):
                     up += blank
-                up[c + a] = code
-                up[c] |= 1 << a
-        for child, c in ids.items():
-            c *= m
-            if flip and flip(child) == child:  # a fixed child a*r is sigma(a)*flip(r) too
-                for a in [a for a in gens if up[c + a] >= 0]:
-                    up[c + sigma[a]], up[c] = up[c + a] ^ 1, up[c] | 1 << sigma[a]
-            a = (up[c] & -up[c]).bit_length() - 1  # the smallest link letter
-            code = up[c + a]
-            ids[child] = (a,) + values[code >> 1] if top is None else \
-                step_state(graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+                up[c + a], up[c] = code, up[c] | 1 << a
+                if flip and code == own and image == child:  # a fixed a*r is sigma(a)*flip(r) too
+                    up[c + sigma[a]], up[c] = mirror, up[c] | 1 << sigma[a]
         level, links, length = ids, up, length + 1
 
 

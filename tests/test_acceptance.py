@@ -7,8 +7,9 @@ way is pooled; the final criterion re-validates the whole pool against the
 structural conditions.
 
 The stretch check for the 9-wire sorting-network count runs by default and
-takes about 6 s.  The 10-wire count takes about 80-100 s and 290 MB, and
-runs only with WORDPOSETS_STRETCH=1 in the environment.
+takes about 6 s.  The 10-wire count takes about 55-70 s and 235 MB of peak
+RSS on a 2-core Xeon VM with Python 3.11, and runs only with
+WORDPOSETS_STRETCH=1 in the environment.
 """
 
 import os
@@ -79,7 +80,7 @@ def test_criterion_1_stretch_nine_wires():
 
 
 @pytest.mark.skipif(os.environ.get("WORDPOSETS_STRETCH") != "1",
-                    reason="P(10) takes about 100 s; set WORDPOSETS_STRETCH=1")
+                    reason="P(10) takes about 60 s; set WORDPOSETS_STRETCH=1")
 def test_criterion_1_stretch_ten_wires():
     # OEIS A006245, under the default memo cap
     start = time.monotonic()

@@ -18,7 +18,7 @@ from wordposets import (
     p_n,
     w0_word,
 )
-from wordposets.coxeter import element_state
+from wordposets.coxeter import element_state, state_descents
 from wordposets import reduced
 from wordposets.reduced import _involutions, _levels
 
@@ -181,3 +181,30 @@ def test_class_count_takes_no_generator_steps_of_its_own(monkeypatch):
     calls.clear()
     elements = sum(len(level) for level, _links in _levels(graph, word=word, flip=_flip(graph, word)))
     assert (elements, len(calls)) == (2544, 10175)
+
+
+@pytest.mark.parametrize("graph, word", [(A4, w0_word(5)), (A3, None)],
+                         ids=["S5-w0-folded", "A3-group"])
+def test_growth_steps_a_level_only_after_yielding_it(graph, word, monkeypatch):
+    # a level is read, yielded and only then grown, so the next level is not
+    # built while the fold still uses this one (stepping each level's
+    # children during its descent read raised P(9)'s peak RSS).  Between two
+    # yields the growth steps once per edge out of the yielded level, and an
+    # interval growth once per element of the next level for its u*w^-1.
+    calls = []
+    step_state = reduced.step_state
+    monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
+    m = graph.rank + 1
+    if word is None:
+        levels = _levels(graph)
+        edges = lambda level, links: sum(m - 1 - len(links[i * m]) for i in range(len(level)))
+    else:
+        levels = _levels(graph, word=word, flip=_flip(graph, word))
+        edges = lambda level, links: sum(len(state_descents(graph, v)) for v in level.values())
+    seen = []  # (steps before the yield, edges out, elements) per level
+    for level, links in levels:
+        seen.append((len(calls), edges(level, links), len(level)))
+    assert len(seen) == (7 if word is None else 11) and seen[0][0] == 0
+    for (before, out, _size), (after, _out, size) in zip(seen, seen[1:]):
+        assert after - before == out + (0 if word is None else size)
+    assert len(calls) == seen[-1][0] and seen[-1][1] == 0

@@ -319,6 +319,23 @@ def test_wp_set_class_words_match_oracle(graph, max_length):
         assert wps.element.word == min(words)
 
 
+AFFINE_A4 = CoxeterGraph(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 5, 3)])
+
+
+def test_counts_match_oracle_on_an_odd_cycle():
+    # on the 5-cycle a commuting T has at most 2 letters, while the greedy
+    # split into pairwise non-commuting groups that sizes the class count's
+    # window gives 3 groups; the counts hold either way
+    subsets = reduced._independent_subsets(AFFINE_A4, AFFINE_A4.generators)
+    assert max(-size for _j, _a, size, _sign in subsets) == 2
+    words = list(iter_elements(AFFINE_A4, 8))
+    assert len(words) == 1231
+    for word in words:
+        oracle_words, classes = oracle_reduced(AFFINE_A4, word)
+        assert count_classes(AFFINE_A4, word) == classes
+        assert count_reduced_words(AFFINE_A4, word) == len(oracle_words)
+
+
 H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
 
 
