@@ -18,9 +18,11 @@ element is counted in place by the counting fold of ``reduced``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import itemgetter
 
 from .coxeter import CoxeterGraph, INFINITY, canonical_form
 # not called here; bound for bench/tracing.py's per-layer table
@@ -107,12 +109,16 @@ def _pair_order(r):
     return [(i, j) for i in range(r) for j in range(i + 1, r)]
 
 
+# r >= 3 (one index gives a scalar): per relabeling p, the getter at pairs (p[i], p[j]) sorted
+_relabelings = functools.cache(lambda r: [itemgetter(*(
+    _pair_order(r).index(tuple(sorted((p[i], p[j])))) for i, j in _pair_order(r)))
+    for p in permutations(range(r))])
+
+
 def _canonical_labels(r, label_map):
     """Least upper-triangle label tuple over all relabelings of 0..r-1."""
-    pairs = _pair_order(r)
-    return min(tuple(
-        label_map[(perm[i], perm[j])] if perm[i] < perm[j] else label_map[(perm[j], perm[i])]
-        for i, j in pairs) for perm in permutations(range(r)))
+    labels = tuple(label_map[pair] for pair in _pair_order(r))
+    return labels if r < 3 else min([relabel(labels) for relabel in _relabelings(r)])
 
 
 def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
@@ -131,13 +137,10 @@ def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
             for base in by_rank[r - 1]:
                 base_map = dict(zip(_pair_order(r - 1), base))
                 for profile in product(choices, repeat=r - 1):
-                    if all(c == 2 for c in profile):
-                        continue
-                    ticker.spend()
-                    label_map = dict(base_map)
-                    for v, c in enumerate(profile):
-                        label_map[(v, r - 1)] = c
-                    found.add(_canonical_labels(r, label_map))
+                    if any(c != 2 for c in profile):  # the new vertex attaches
+                        ticker.spend()
+                        label_map = base_map | {(v, r - 1): c for v, c in enumerate(profile)}
+                        found.add(_canonical_labels(r, label_map))
         by_rank[r] = sorted(found)
     return by_rank
 
@@ -151,11 +154,13 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     """Per length, the largest class count over elements supported on every
     generator of the graph, with the canonical witness word.
 
-    Elements are grown level by level (``_levels``), skipping children whose
-    support can no longer reach every generator within ``max_len``; each
-    kept extension spends one budget step.  |supp v| + max_len - len(v)
-    does not drop from u to a suffix v, so suffixes of kept elements are
-    kept, and ``_count_levels`` counts each u in place from the levels below.
+    Elements are grown level by level (``_levels``), one per orbit of a
+    diagram involution if there is one (support, length and count are the
+    same on an orbit, and the witness is the least of its two least words),
+    skipping children whose support can no longer reach every generator within
+    ``max_len``; each kept extension of a grown element spends one budget step.
+    |supp v| + max_len - len(v) does not drop from u to a suffix v, so suffixes
+    of kept elements are kept, and ``_count_levels`` counts each u in place.
     """
     n = graph.rank
 
@@ -167,13 +172,15 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
         ticker.spend(len(ups))
         return ups
 
-    best = {}
-    for level, counts in _count_levels(graph, memo_cap, max_length=max_len, admit=admit):
-        for word, c in zip(level.values(), counts):
-            # the most classes first, then the least word
-            if len(set(word)) == n and (-c, word) < best.get(len(word), (0,)):
-                best[len(word)] = (-c, word)
-    return {length: (-c, word) for length, (c, word) in best.items()}
+    best, levels = {}, _count_levels(graph, memo_cap, max_length=max_len, admit=admit, orbits=True)
+    pairs = ((), ()) in next(levels)[0].values()  # folded: each value is a word pair
+    for length, (level, counts) in enumerate(levels, 1):
+        high = 0  # the most classes first, then the least word
+        for value, c in zip(level.values(), counts) if length >= n else ():
+            if c >= high and len(set(word := min(value) if pairs else value)) == n and (
+                    c > high or word < best[length][1]):
+                high, best[length] = c, (c, word)
+    return best
 
 
 def _diagonal_witness_labels(r, edge_labels, allow_gap):

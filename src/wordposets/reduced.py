@@ -10,8 +10,8 @@ grows elements up from the identity on their states (see ``coxeter``): the
 whole group for ``iter_elements`` and the search in ``networks``, or the
 lower interval [e, w] of one element.  One fold, ``_fold``, carries each
 recursion bottom-up from the identity's value, given by its caller, over the
-last few levels of that growth, into lists by element id (the counts once
-per orbit), following integer link codes rather than states.
+last few levels of that growth, into lists by element id (the counts and the
+search once per diagram orbit), following integer link codes, not states.
 
 The class count obeys a universal bound: for a nonempty reduced word,
 9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
@@ -132,11 +132,11 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     at links slot b: ``trail`` holds the last ``depth`` links lists,
     ``window`` the values of the ``depth`` levels below, newest last, and
     swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at once;
-    with ``orbits``, one per orbit of an involution sigma fixing w^-1, so w
-    (C and R are constant on orbits)."""
+    with ``orbits``, one per orbit of an involution sigma (C and R are constant
+    on orbits): one fixing w^-1, so w, or the first one on the whole group."""
     cap, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1
     top = element_state(graph, growth["word"][::-1]) if "word" in growth else None
-    flip = next((f for f in _involutions(graph) if f(top) == top), None) if orbits else None
+    flip = orbits and next((f for f in _involutions(graph) if top is None or f(top) == top), None)
     swap = (same := list(range(m)), _sigma(graph, flip) if flip else same)
     trail, window = [], []
     for level, links in _levels(graph, flip=flip, top=top, **growth):
@@ -168,13 +168,7 @@ def _count_levels(graph, memo_cap=None, **growth):
     greedy group below, no fewer than a commuting T has letters (more on an
     odd cycle of non-commuting generators), at most ``memo_cap`` at once.
     """
-    terms, m = functools.cache(lambda ds: _independent_subsets(graph, ds)), graph.rank + 1
-    groups = []  # of pairwise non-commuting generators; T meets each at most once
-    for a in graph.generators:
-        group = next((g for g in groups if not g & graph.commuting[a - 1]), None)
-        if group is None:
-            groups.append(group := set())
-        group.add(a)
+    (terms, depth), m = _count_plan(graph), graph.rank + 1
 
     def count(b, trail, counts, swap):
         codes, c = [b // m * 2], 0
@@ -184,7 +178,16 @@ def _count_levels(graph, memo_cap=None, **growth):
             c += sign * counts[d][code >> 1]
             codes.append(code)
         return c
-    return _fold(graph, count, 1, len(groups), memo_cap, "class-count", **growth)
+    return _fold(graph, count, 1, depth, memo_cap, "class-count", **growth)
+
+
+@functools.lru_cache(maxsize=64)
+def _count_plan(graph):
+    """``_independent_subsets`` steps by descent tuple, and the window's depth."""
+    group = {}  # a -> the first group holding none of a's commuters; T meets each at most once
+    for a in graph.generators:
+        group[a] = min(set(range(a)) - {group.get(b) for b in graph.commuting[a - 1]})
+    return functools.cache(lambda ds: _independent_subsets(graph, ds)), max(group.values()) + 1
 
 
 class ClassCounter:
@@ -338,14 +341,18 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     state of u*w^-1 = a*(a*u*w^-1) in place of a word: u grows to a*u exactly
     when a is a left descent of u*w^-1, and the growth must end at one
     element after len(word) steps, else SignToleranceError.  With the
-    ``flip`` of an involution sigma fixing w, a level keeps the lesser state
-    of each orbit: a child c = a*r with flip(c) < c is kept as flip(c),
+    ``flip`` of an involution sigma fixing w (if given), a level keeps the lesser
+    state of each orbit: a child c = a*r with flip(c) < c is kept as flip(c),
     linked under sigma(a) to flip(r), and a fixed one under a and sigma(a).
+    On the whole group a value is then the pair of least words of u and
+    sigma(u), and ``admit`` reads u's and must commute with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
     gens, m, sigma = graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
-    level, links, length = {element_state(graph): () if top is None else top}, blank[:], 0
+    if pairs := sigma and top is None:
+        admit = lambda pair, ups, admit=admit: admit(pair[0], ups)
+    level, links, length = {element_state(graph): top or (((), ()) if pairs else ())}, blank[:], 0
     while level:
         for b, key in zip(range(0, len(links), m), level):
             ds, bits = _kinds(tuple(state_descents(graph, key)))
@@ -354,8 +361,14 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
             links[b] = ds
             if ds:  # the value through the least left descent
                 a, code = ds[0], links[b + ds[0]]
-                level[key] = (a,) + values[code >> 1] if top is None else step_state(
-                    graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+                if top is not None:
+                    level[key] = step_state(
+                        graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+                elif not pairs:
+                    level[key] = (a,) + values[code >> 1]
+                else:  # sigma(u)'s word: x = min sigma(ds), then sigma(s*u)'s, s = sigma(x)
+                    t = links[b + sigma[x := min(map(sigma.__getitem__, ds))]]
+                    level[key] = ((a,) + values[code >> 1][code & 1], (x,) + values[t >> 1][~t & 1])
         values = None  # the level below goes before the caller folds this one
         yield level, links
         if max_length is not None and length >= max_length:

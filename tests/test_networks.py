@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -17,8 +19,15 @@ from wordposets import (
     search_M,
     w0_word,
 )
-from wordposets import coxeter, reduced
-from wordposets.networks import _Ticker, _best_full_support_counts
+from wordposets import coxeter, networks, reduced
+from wordposets.networks import (
+    _Ticker,
+    _best_full_support_counts,
+    _canonical_labels,
+    _connected_graphs_by_rank,
+    _graph_from_labels,
+)
+from wordposets.reduced import _involutions
 
 
 def test_w0_word_examples():
@@ -161,13 +170,23 @@ def test_search_memo_cap():
         search_M(5, memo_cap=3)
 
 
+# graphs with a diagram involution, so the search grows one element per orbit
+FOLDING = {
+    "A4": (CoxeterGraph.type_a(4), 10),
+    "D4": (CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)]), 10),
+    "affine-A3": (CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (1, 4, 3)]), 9),
+    "path-3-inf-3": (CoxeterGraph(4, [(1, 2, 3), (2, 3, INFINITY), (3, 4, 3)]), 9),
+}
+
+
 @pytest.mark.parametrize("graph,k", [
     (CoxeterGraph(3, [(1, 2, 3), (2, 3, INFINITY)]), 7),
     (CoxeterGraph(4, [(1, 2, 4), (2, 3, 6), (3, 4, INFINITY)]), 6),
     (CoxeterGraph(4, [(1, 2, 3), (1, 3, 4), (1, 4, INFINITY)]), 6),
     (CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)]), 9),
     (CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)]), 7),
-], ids=["rank3-3-inf", "rank4-4-6-inf", "star-3-4-inf", "H3", "rank3-5-inf"])
+] + list(FOLDING.values()),
+    ids=["rank3-3-inf", "rank4-4-6-inf", "star-3-4-inf", "H3", "rank3-5-inf"] + list(FOLDING))
 def test_search_table_matches_brute_force(graph, k):
     # the counts found in place during the growth must be the ones that
     # count_classes gives each full-support element, with the least word
@@ -181,6 +200,60 @@ def test_search_table_matches_brute_force(graph, k):
                 expected[len(word)] = (c, word)
     assert expected
     assert _best_full_support_counts(graph, k, _Ticker(10 ** 9), None) == expected
+
+
+@pytest.mark.parametrize("name", FOLDING)
+def test_folding_search_cases_have_an_involution(name):
+    graph, _k = FOLDING[name]
+    assert _involutions(graph)
+
+
+def test_folded_search_table_equals_unfolded(monkeypatch):
+    # every symmetric connected graph of rank <= 4 over {2, 3, 4, inf}: one
+    # element per orbit must give the counts and least witnesses of all
+    # (and spend fewer budget steps, one per kept extension of a representative)
+    by_rank = _connected_graphs_by_rank(4, [3, 4, INFINITY], True, _Ticker(10 ** 9))
+    graphs = [graph for r in by_rank for labels in by_rank[r]
+              if _involutions(graph := _graph_from_labels(r, labels))]
+    assert len([graph for graph in graphs if graph.rank == 4]) == 113
+    folded_ticker, unfolded_ticker = _Ticker(10 ** 9), _Ticker(10 ** 9)
+    folded = [_best_full_support_counts(graph, 6, folded_ticker, None) for graph in graphs]
+    monkeypatch.setattr(reduced, "_involutions", lambda graph: ())
+    assert [_best_full_support_counts(graph, 6, unfolded_ticker, None)
+            for graph in graphs] == folded
+    assert folded_ticker.left > unfolded_ticker.left
+
+
+def _all_relabelings(r, label_map):
+    # the canonical form as the least tuple over every permutation, spelled out
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    return min(tuple(
+        label_map[(perm[i], perm[j])] if perm[i] < perm[j] else label_map[(perm[j], perm[i])]
+        for i, j in pairs) for perm in itertools.permutations(range(r)))
+
+
+def test_canonical_labels_match_all_relabelings():
+    labels = [2, 3, 4, INFINITY]
+    for r in range(1, 5):
+        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        for row in itertools.product(labels, repeat=len(pairs)):
+            label_map = dict(zip(pairs, row))
+            assert _canonical_labels(r, label_map) == _all_relabelings(r, label_map)
+    rng = random.Random(5)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for _ in range(500):
+        label_map = {pair: rng.choice(labels) for pair in pairs}
+        assert _canonical_labels(5, label_map) == _all_relabelings(5, label_map)
+
+
+@pytest.mark.parametrize("max_rank,edge_labels,allow_gap", [
+    (4, [3, 4, INFINITY], True), (4, [3, INFINITY], False), (5, [3], True)],
+    ids=["rank4-2-3-4-inf", "rank4-3-inf", "rank5-2-3"])
+def test_connected_graphs_by_rank_match_all_relabelings(monkeypatch, max_rank, edge_labels,
+                                                        allow_gap):
+    found = _connected_graphs_by_rank(max_rank, edge_labels, allow_gap, _Ticker(10 ** 9))
+    monkeypatch.setattr(networks, "_canonical_labels", _all_relabelings)
+    assert _connected_graphs_by_rank(max_rank, edge_labels, allow_gap, _Ticker(10 ** 9)) == found
 
 
 def test_dropped_descent_read_raises_in_search(monkeypatch):
