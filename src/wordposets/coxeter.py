@@ -31,10 +31,10 @@ numbers-game vector y_j = <w^{-1} alpha_j, rho>, the coordinate sum of column
 j of w^{-1}.  s_b w costs one pass over b's neighbours, a is a left descent
 iff y_a < 0, and y identifies w (rho lies in the fundamental chamber, whose
 points have trivial stabilizers; Tits), so the state is its own key.  y_j
-lies in Z[zeta], zeta = exp(i pi / L), L the lcm of the labels outside
-{2, 3, 4, 6, infinity}, held as its d integer coefficients on 1, zeta, ...,
-zeta^(d-1) modulo the cyclotomic polynomial Phi_2L (d = 1 without such
-labels); a sign for d > 1 is read in floats with a certified error bound.
+lies in Z[c], c = 2 cos(pi / L), L the lcm of the labels outside {2, 3, 4,
+6, infinity} (Tits' representation is defined over Q(cos pi/m)), held as d
+integer coefficients on 1, 2 cos(k pi / L) for 0 < k < d, d = phi(2L) / 2
+(d = 1 without such labels, d = 2 for H3 and H4); each sign is exact.
 """
 
 from __future__ import annotations
@@ -66,30 +66,19 @@ INFINITY = math.inf
 # Sign decisions of the float column calculus treat |x| <= TOLERANCE as zero.
 TOLERANCE = 1e-9
 
-# Labels whose dihedral relation admits an integer Cartan realization.
-_EXACT_LABELS = frozenset({2, 3, 4, 6, INFINITY})
+# Labels with an integer Cartan realization, and its (A[i][j], A[j][i]), i < j.
+_EXACT_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INFINITY: (-2, -2)}
 # Largest lcm of the other labels that the state ring takes: all labels <= 10.
 MAX_RING_LCM = 2520
 
 
 def _cartan_pair(m, exact):
-    """Off-diagonal Cartan entries (A[i][j], A[j][i]) for label m, i < j.
-
-    The product A[i][j]*A[j][i] must equal 4 cos^2(pi/m) so that the two
-    reflections compose to a rotation of order m (>= 4 for m = infinity).
-    On the exact path the product is split asymmetrically to keep entries
-    integral; the group generated is the same either way.
-    """
+    """Off-diagonal Cartan entries (A[i][j], A[j][i]) for label m, i < j: the
+    product 4 cos^2(pi/m) (4 for m = infinity) makes the two reflections
+    compose to a rotation of order m; the exact path splits it asymmetrically
+    to keep entries integral, which generates the same group."""
     if exact:
-        if m == 2:
-            return 0, 0
-        if m == 3:
-            return -1, -1
-        if m == 4:
-            return -1, -2
-        if m == 6:
-            return -1, -3
-        return -2, -2
+        return _EXACT_PAIRS[m]
     if m == INFINITY:
         return -2.0, -2.0
     c = -2.0 * math.cos(math.pi / m)
@@ -117,34 +106,39 @@ def _cyclotomic(n):
 
 
 def _state_ring(labels):
-    """(d, cosines of k pi / L for k < d, rows) for the numbers-game state:
-    rows[a] lists the (i, k, c) of ``y[i] -= c * state[k]`` taking w to s_a w.
-    (i, i, 2) negates y_a; the rest subtract A[a][j] y_a from each neighbour
-    y_j, A[a][j] an exact label's integer entry or -(zeta^e + zeta^-e) for
-    e = L / m, as a d x d matrix through the powers of zeta modulo Phi_2L."""
-    period = 2 * math.lcm(*{m for row in labels for m in row if m not in _EXACT_LABELS})
-    if period > 2 * MAX_RING_LCM:
-        raise BudgetError(f"labels have lcm {period // 2}, state ring cap is {MAX_RING_LCM}")
-    phi = _cyclotomic(period)
-    d = len(phi) - 1
-    powers, x = [], [1] + [0] * (d - 1)  # zeta^k for k < period
-    for _ in range(period):
-        powers.append(x)
-        x = [v - x[-1] * c for v, c in zip([0] + x[:-1], phi)]
+    """(d, basis values, psi, rows) for the numbers-game state: rows[a] lists
+    the (i, k, c) of ``y[i] -= c * state[k]`` taking w to s_a w.  (i, i, 2)
+    negates y_a; the rest subtract A[a][j] y_a from each neighbour y_j, A[a][j]
+    an exact label's integer entry or -b_e for e = L / m, as the d x d block of
+    the product by b_e in the basis b_0 = 1, b_k = 2cos(k pi / L) for 0 < k < d.
+    b_d comes from psi(c) = 0, psi the minimal polynomial of c = b_1, read in
+    that basis off Phi_2L(x) = x^d psi(x + 1/x); then b_(n+1) = c b_n - b_(n-1)
+    up to n = L / 2, and b_(L-n) = -b_n."""
+    half = math.lcm(*{m for row in labels for m in row if m not in _EXACT_PAIRS})
+    if half > MAX_RING_LCM:
+        raise BudgetError(f"labels have lcm {half}, state ring cap is {MAX_RING_LCM}")
+    phi = _cyclotomic(2 * half)
+    d = max(1, len(phi) // 2)
+    b = [[2] + [0] * (d - 1)] + [[int(i == k) for i in range(d)] for k in range(1, d)]
+    b.append([-a for a in phi[d:-1]])  # b[n] is 2cos(n pi / L): b[0] is 2, b[d] from psi
+    for n in range(d, half // 2):
+        b.append([u + v + b[n][-1] * t - w for u, v, t, w in
+                  zip([0] + b[n][:-1], [2 * b[n][1]] + b[n][2:] + [0], b[d], b[n - 1])])
+    cos2 = lambda n: b[n] if 2 * n <= half else [-x for x in b[half - n]]  # 0 <= n < L
+    block = functools.cache(lambda e: [(p, q, -x) for q in range(d) for p, x in enumerate(
+        cos2(e) if q == 0 else [u + v for u, v in zip(cos2(e + q), cos2(abs(e - q)))]) if x])
     rows = []
     for a, line in enumerate(labels):
         row = [(a * d + p, a * d + p, 2) for p in range(d)]
         for j, m in enumerate(line):
-            if m in _EXACT_LABELS:
-                c = _cartan_pair(m, True)[a > j]
+            if m in _EXACT_PAIRS:
+                c = _EXACT_PAIRS[m][a > j]
                 row += [(j * d + p, a * d + p, c) for p in range(d) if c]
             elif m != 1:
-                e = period // (2 * m)
-                for q in range(d):
-                    row += [(j * d + p, a * d + q, -u - v)
-                            for p, (u, v) in enumerate(zip(powers[q + e], powers[q - e])) if u + v]
+                row += [(j * d + p, a * d + q, c) for p, q, c in block(half // m)]
         rows.append(tuple(row))
-    return d, tuple(math.cos(2 * math.pi * k / period) for k in range(d)), tuple(rows)
+    basis = (1.0,) + tuple(2 * math.cos(k * math.pi / half) for k in range(1, d))
+    return d, basis, phi[d:], tuple(rows)
 
 
 class CoxeterGraph:
@@ -176,7 +170,7 @@ class CoxeterGraph:
         self._labels = tuple(tuple(row) for row in labels)
         self.commuting = tuple(frozenset(j + 1 for j in range(rank) if row[j] == 2)
                                for row in self._labels)
-        self.exact = all(self._labels[i][j] in _EXACT_LABELS
+        self.exact = all(self._labels[i][j] in _EXACT_PAIRS
                          for i in range(rank) for j in range(i + 1, rank))
         diag = 2 if self.exact else 2.0
         cartan = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -187,7 +181,8 @@ class CoxeterGraph:
         self.reflection_rows = tuple(
             tuple((j, cartan[i][j]) for j in range(rank) if j != i and cartan[i][j] != 0)
             for i in range(rank))
-        self.state_degree, self.state_cosines, self.state_rows = _state_ring(self._labels)
+        self.state_degree, self.state_basis, self.state_psi, self.state_rows = \
+            _state_ring(self._labels)
 
     @property
     def generators(self):
@@ -427,23 +422,41 @@ def step_state(graph, state, a):
 
 
 def state_descents(graph, state):
-    """Left descents of the element held in ``state``, ascending.  With
-    d > 1, y_j's sign is that of sum_k c_k cos(k pi / L), scaled by the
-    largest |c_k| so no float overflows; a value within the error bound
-    2^-48 d sum_k |c_k| raises SignToleranceError."""
+    """Left descents of the element held in ``state``, ascending, each sign
+    decided exactly: y_j is never 0, as a root is one-signed and <alpha_i,
+    rho> = 1.  For L = 5, y = a + b phi has the sign of s = 2a + b if s^2 >
+    5 b^2, else of b; past that, ``_negative`` decides."""
     d = graph.state_degree
     if d == 1:
         return tuple([j for j, y in enumerate(state, 1) if y < 0])
-    out = []
-    for j in graph.generators:
-        coeffs = state[(j - 1) * d:j * d]
-        big = max(map(abs, coeffs))
-        value = sum(c / big * x for c, x in zip(coeffs, graph.state_cosines))
-        if abs(value) <= 2.0 ** -48 * d * sum(map(abs, coeffs)) / big:
-            raise SignToleranceError(f"sign of root coordinate {j} within its float error bound")
-        if value < 0:
-            out.append(j)
-    return tuple(out)
+    if d == 2:
+        return tuple([j for j, (a, b) in enumerate(zip(state[::2], state[1::2]), 1)
+                      if (s if (s := a + a + b) * s > 5 * b * b else b) < 0])
+    return tuple([j for j in graph.generators if _negative(graph, state[(j - 1) * d:j * d])])
+
+
+def _negative(graph, coeffs):
+    """Whether sum_k c_k b_k < 0: in floats, scaled by the largest |c_k|, if
+    that is off 0 by over 2^-47 d sum_k |c_k|, else in dyadic rationals: c,
+    from its float -+ 2^-40, is bisected on psi until the sum at the midpoint
+    outweighs its change towards c (|b_k'| <= k^2 on [-2, 2]); it is not 0."""
+    big = max(map(abs, coeffs))
+    value = sum(c / big * x for c, x in zip(coeffs, graph.state_basis))
+    if abs(value) > 2.0 ** -47 * len(coeffs) * sum(map(abs, coeffs)) / big:
+        return value < 0
+
+    def at(poly, n, q):  # q^K sum_k poly[k] b_k(n / q), K = len(poly) - 1
+        acc, prev, b = poly[0], 2, n
+        for a in poly[1:]:
+            acc, prev, b = acc * q + a * b, b, n * b - q * q * prev
+        return acc
+    slope = sum(a * k * k for k, a in enumerate(map(abs, coeffs)))
+    num, q = graph.state_basis[1].as_integer_ratio()
+    lo, hi, q = (num << 40) - q, (num << 40) + q, q << 41  # q: the midpoint's denominator
+    while abs(value := at(coeffs, lo + hi, q)) <= slope * (hi - lo) * q ** (len(coeffs) - 2):
+        lo, hi = (lo + hi, 2 * hi) if at(graph.state_psi, lo + hi, q) < 0 else (2 * lo, lo + hi)
+        q *= 2
+    return value < 0
 
 
 def _scan_left_deletion(graph, a, word):

@@ -13,9 +13,10 @@ class SignToleranceError(ArithmeticError):
     """A root-vector sign could not be decided.
 
     Raised by the float column calculus when a root's coordinates all sit
-    within tolerance of zero or carry both signs (which the theory forbids),
-    by the exact state when a coordinate's float value lies within its
-    certified error bound of zero, and when descent reads disagree.
+    within tolerance of zero or carry both signs (which the theory forbids).
+    The exact state decides every sign, so from the engines it means only
+    that they disagree with themselves: a descent read contradicts the
+    growth links, or a lower interval does not end at its element.
     """
 
 

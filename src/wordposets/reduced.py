@@ -164,15 +164,15 @@ def _count_levels(graph, memo_cap=None, **growth):
     once per descent tuple as ``_independent_subsets`` steps; Tu is reached
     from T'u (T less its last letter a) through the link codes, never by a
     generator step: with T'u's code 2*id + f, Tu's is the link of the
-    element id under sigma^f(a), xor f.  Counts are kept for one level per
-    greedy group below, no fewer than a commuting T has letters (more on an
-    odd cycle of non-commuting generators), at most ``memo_cap`` at once.
+    element id under sigma^f(a), xor f.  Counts are kept for as many levels
+    below as the most generators that pairwise commute, the most letters of
+    a T, at most ``memo_cap`` at once.
     """
-    (terms, depth), m = _count_plan(graph), graph.rank + 1
+    (steps, depth), m = _count_plan(graph.commuting), graph.rank + 1
 
     def count(b, trail, counts, swap):
-        codes, c = [b // m * 2], 0
-        for j, a, d, sign in terms(trail[-1][b]):
+        ds, codes, c = trail[-1][b], [b // m * 2], 0
+        for j, a, d, sign in steps.get(ds) or steps.setdefault(ds, _independent_subsets(graph, ds)):
             f = codes[j] & 1
             code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
             c += sign * counts[d][code >> 1]
@@ -182,12 +182,22 @@ def _count_levels(graph, memo_cap=None, **growth):
 
 
 @functools.lru_cache(maxsize=64)
-def _count_plan(graph):
-    """``_independent_subsets`` steps by descent tuple, and the window's depth."""
-    group = {}  # a -> the first group holding none of a's commuters; T meets each at most once
-    for a in graph.generators:
-        group[a] = min(set(range(a)) - {group.get(b) for b in graph.commuting[a - 1]})
-    return functools.cache(lambda ds: _independent_subsets(graph, ds)), max(group.values()) + 1
+def _count_plan(commuting):
+    """Subset steps by descent tuple, shared by graphs with these ``commuting``
+    sets, and the window's depth: the most generators that pairwise commute,
+    searched up to the greedy count of non-commuting groups, which bounds it."""
+    group = {}  # a -> the first group holding none of a's commuters
+    for a in range(1, len(commuting) + 1):
+        group[a] = min(set(range(a)) - {group.get(b) for b in commuting[a - 1]})
+    cap = max(group.values()) + 1
+
+    def widest(rest, size, best):  # ``size`` letters chosen, more from ``rest``
+        for i, a in enumerate(rest):
+            if best >= cap or size + len(rest) - i <= best:
+                break
+            best = widest([b for b in rest[i + 1:] if b in commuting[a - 1]], size + 1, best)
+        return max(best, size)
+    return {}, widest(list(range(1, len(commuting) + 1)), 0, 0)
 
 
 class ClassCounter:

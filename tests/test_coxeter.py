@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -621,3 +622,108 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         for x in (2, 3):
             assert math.prod(_value_at(coxeter._cyclotomic(d), x) for d in divisors) == x ** n - 1
+
+
+# ----------------------------------------- exact signs in the real subfield
+
+PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+             "58209749445923078164062862089986280348253421170679")
+
+
+def _high_precision_value(coeffs, period):
+    """sum_k coeffs[k] b_k, b_0 = 1 and b_k = 2 cos(k pi / period), to about
+    100 digits: each cosine from its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 110
+        total = Decimal(coeffs[0])
+        for k, c in enumerate(coeffs[1:], 1):
+            x, term, cos, i = PI * k / period, Decimal(1), Decimal(1), 0
+            while abs(term) > Decimal(10) ** -105:
+                i += 2
+                term *= -x * x / (i * (i - 1))
+                cos += term
+            total += c * 2 * cos
+        return +total
+
+
+def _float_read_is_open(graph, coeffs):
+    """Whether the certified float read leaves the sign of coeffs open."""
+    big = max(map(abs, coeffs))
+    value = sum(c / big * x for c, x in zip(coeffs, graph.state_basis))
+    return abs(value) <= 2.0 ** -47 * len(coeffs) * sum(map(abs, coeffs)) / big
+
+
+def test_state_degree_is_half_the_cyclotomic_degree():
+    # each coordinate lies in Z[2 cos(pi / L)], of degree phi(2L) / 2
+    path = CoxeterGraph(4, [(1, 2, 7), (2, 3, 11), (3, 4, 13)])
+    cycle = CoxeterGraph(4, [(1, 2, 5), (2, 3, 7), (3, 4, 8), (1, 4, 9)])
+    assert [g.state_degree for g in (H3, H4, path, cycle)] == [2, 2, 360, 576]
+    assert element_state(cycle) == ((1,) + (0,) * 575) * 4  # the identity
+
+
+@pytest.mark.parametrize("edges", [
+    [(1, 2, 5), (2, 3, 7)], [(1, 2, 8), (2, 3, 5)], [(1, 2, 7), (2, 3, 11), (3, 4, 13)],
+    [(1, 2, 5), (2, 3, 7), (3, 4, 8), (1, 4, 9)]], ids=["5-7", "8-5", "7-11-13", "5-7-8-9"])
+def test_ring_rows_multiply_by_twice_the_label_cosine(edges):
+    # the rows' block from y_a to a neighbour y_j is the product by
+    # 2 cos(pi / m) in the basis 1, 2 cos(k pi / L); every column, read in
+    # floats, also those whose products pass k = d or k = L / 2
+    graph = CoxeterGraph(max(j for _i, j, _m in edges), edges)
+    d, basis = graph.state_degree, graph.state_basis
+    for a, j, m in edges + [(j, a, m) for a, j, m in edges]:
+        block = [[0] * d for _ in range(d)]
+        for x, k, c in graph.state_rows[a - 1]:
+            if x // d == j - 1:
+                block[k % d][x % d] -= c
+        for q, column in enumerate(block):
+            terms = [c * b for c, b in zip(column, basis)]
+            assert abs(sum(terms) - 2 * math.cos(math.pi / m) * basis[q]) <= \
+                1e-12 * (1 + sum(map(abs, terms)))
+
+
+def test_fibonacci_values_read_exactly_on_h3():
+    # (F_(n+1), -F_n) holds F_(n+1) - F_n phi = (-1/phi)^n, a descent exactly
+    # for odd n; past n of about 40 the float read of coefficients near
+    # phi^n cannot see a value near phi^-n
+    fib = [0, 1]
+    while len(fib) < 92:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(91):
+        state = (fib[n + 1], -fib[n]) + (1, 0) * 2
+        assert state_descents(H3, state) == ((1,) if n % 2 else ())
+        assert state_descents(H3, state[2:] + state[:2]) == ((3,) if n % 2 else ())
+    assert _float_read_is_open(H3, (fib[91], -fib[90]))
+
+
+def test_near_zero_values_of_a_seven_ring_are_decided_exactly():
+    # u = -2 cos(3 pi / 7) = -1 + b_1 - b_2 has |u| = 0.445 while its
+    # coefficients grow like 1.8^n; from n of about 25 the float read of u^n
+    # is open, and the exact read agrees with a 100-digit evaluation
+    graph = CoxeterGraph(2, [(1, 2, 7)])
+    assert graph.state_degree == 3
+    v, open_reads = (1, 0, 0), 0
+    for n in range(100):
+        value = _high_precision_value(v, 7)
+        assert (value < 0) == (n % 2 == 1)
+        assert state_descents(graph, v + (1, 0, 0)) == ((1,) if value < 0 else ())
+        open_reads += _float_read_is_open(graph, v)
+        x, y, z = v
+        v = (-x + y, x - y - z, z - x)
+    assert open_reads >= 70
+
+
+def test_near_zero_values_of_a_larger_ring_match_a_high_precision_read():
+    # labels 5 and 7: L = 35, d = 12.  Coefficients near 10^30 with a
+    # constant term that cancels their sum to within 1/2 leave every float
+    # read open; none raises, and each sign is the 100-digit one
+    graph = CoxeterGraph(3, [(1, 2, 5), (2, 3, 7)])
+    d = graph.state_degree
+    assert d == 12
+    rng = random.Random(35)
+    for _ in range(20):
+        coeffs = [0] + [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d - 1)]
+        coeffs[0] = -int(_high_precision_value(coeffs, 35).to_integral_value())
+        assert _float_read_is_open(graph, coeffs)
+        value = _high_precision_value(coeffs, 35)
+        state = tuple(coeffs) + element_state(graph)[d:]
+        assert state_descents(graph, state) == ((1,) if value < 0 else ())

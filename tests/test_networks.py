@@ -14,6 +14,7 @@ from wordposets import (
     is_reduced,
     iter_elements,
     limit_lower_bound,
+    oracle_reduced,
     p_n,
     p_sequence,
     search_M,
@@ -273,3 +274,23 @@ def test_p_n_never_beats_search():
     # P(n) <= M(k_n): the staircase element lives inside the search space
     assert p_n(3) <= search_M(3, max_rank=3).value
     assert p_n(4) <= search_M(6, max_rank=4).value
+
+
+@pytest.mark.parametrize("max_rank, edge_labels, graphs", [
+    (4, [3, 4, INFINITY], 269), (3, [3, 4, 5, INFINITY], 34)],
+    ids=["rank4-2-3-4-inf", "rank3-2-3-4-5-inf"])
+def test_excess_one_has_at_most_two_classes(max_rank, edge_labels, graphs):
+    # a connected element of rank r and length r + 1 doubles one letter, so
+    # only a braid aba = bab with m(a, b) = 3 fits, and each class has at most
+    # one braid neighbour: C <= 2.  Exhaustive over every connected graph of
+    # rank 2..max_rank (gaps allowed), each witness checked by the closure
+    by_rank = _connected_graphs_by_rank(max_rank, edge_labels, True, _Ticker(10 ** 9))
+    assert sum(len(by_rank[r]) for r in range(2, max_rank + 1)) == graphs
+    best = 0
+    for r in range(2, max_rank + 1):
+        for label_tuple in by_rank[r]:
+            graph = _graph_from_labels(r, label_tuple)
+            c, word = _best_full_support_counts(graph, r + 1, _Ticker(10 ** 9), None)[r + 1]
+            assert c == oracle_reduced(graph, word)[1] <= 2
+            best = max(best, c)
+    assert best == 2

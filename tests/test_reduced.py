@@ -336,6 +336,27 @@ def test_counts_match_oracle_on_an_odd_cycle():
         assert count_reduced_words(AFFINE_A4, word) == len(oracle_words)
 
 
+def test_memo_cap_boundary_on_an_odd_cycle_is_a_two_level_window():
+    # a commuting T on the 5-cycle has at most 2 letters, so the class count
+    # keeps 2 levels of counts below the one it fills, not the 3 of the
+    # greedy split; the peak is 85 counts (111 with 3 levels).  867 is the
+    # class count the brute-force closure gives (147,312 reduced words).
+    word = (5, 4, 2, 3, 4, 5, 2, 1, 2, 4, 3, 5, 4, 2, 3, 5, 4, 1)
+    assert reduced._count_plan(AFFINE_A4.commuting)[1] == 2
+    assert count_classes(AFFINE_A4, word, memo_cap=85) == 867
+    with pytest.raises(BudgetError, match="class-count memo exceeds 84 entries"):
+        count_classes(AFFINE_A4, word, memo_cap=84)
+
+
+def test_count_plans_are_shared_by_graphs_that_commute_alike():
+    # the subset steps depend only on which generators commute: B3 and A3,
+    # both paths, share one plan; the window is the largest commuting set
+    assert reduced._count_plan(B3.commuting) is reduced._count_plan(S4.commuting)
+    assert reduced._count_plan(AFFINE_A2.commuting)[1] == 1
+    assert reduced._count_plan(CoxeterGraph(6).commuting)[1] == 6
+    assert reduced._count_plan(CoxeterGraph.type_a(9).commuting)[1] == 5
+
+
 H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
 
 
