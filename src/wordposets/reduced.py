@@ -4,8 +4,9 @@ The reduced words of a group element w split into commutation classes, and
 each class is captured by its word poset.  Three recursions on left descents
 run here: one builds the full set of those posets, one counts the classes by
 inclusion-exclusion without materializing them, and one counts the reduced
-words, R(w) = sum over a in D(w) of R(aw).  A breadth-first oracle of
-commutation and braid moves cross-checks all of it.  One loop, ``_levels``,
+words, R(w) = sum over a in D(w) of R(aw).  A brute-force oracle checks
+all of it: one flood of the reduced words by commutation moves, opening a
+new class at each braid-move target not yet reached.  One loop, ``_levels``,
 grows elements up from the identity on their states (see ``coxeter``): the
 whole group for ``iter_elements`` and the search in ``networks``, or the
 lower interval [e, w] of one element.  One fold, ``_fold``, carries each
@@ -35,9 +36,9 @@ from .coxeter import (
     matrix_key,  # noqa: F401
 )
 from .errors import BudgetError, SignToleranceError
-from .poset import DEFAULT_MAX_POSITIONS, WordPoset, adjoin_min, canonical_word
-from .poset import count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
-from .trace import _closure, oracle_enumerate_class
+from .poset import DEFAULT_MAX_POSITIONS, WordPoset, adjoin_min
+from .poset import canonical_word, count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
+from .trace import _closure
 
 __all__ = [
     "DEFAULT_MEMO_CAP",
@@ -243,8 +244,8 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     labeled a, the smallest minimal label.  So p, held with the bit set of
     its minimal labels, gets a only when none is a b < a commuting with a
     (b would stay minimal), and each class is built once, keeping two levels
-    of at most ``memo_cap`` elements.  Each reduced word lies in one class,
-    so the least class word names w.
+    of at most ``memo_cap`` elements.  Taking the least minimal label first,
+    a class's least word reads the labels backwards; the least names w.
     """
     word = _require_reduced(graph, word)
     alphabet = CommutationAlphabet.from_coxeter(graph)
@@ -255,7 +256,7 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
         return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a]) for a in trail[-1][b]
                 for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
     levels = _fold(graph, adjoin, [(WordPoset((), ()), 0)], 1, memo_cap, "word-poset", word=word)
-    posets = dict(sorted((canonical_word(p, alphabet), p) for p, _mins in _top(levels)))
+    posets = dict(sorted((p.labels[::-1], p) for p, _mins in _top(levels)))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
@@ -273,24 +274,17 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     return _top(_fold(graph, words, 1, 1, memo_cap, "reduced-word", orbits=True, word=word))
 
 
-def _move_neighbors(graph, w):
-    """Words one commutation or braid move away from w.
-
-    A move replaces a segment a b a b ... of length m(a,b) starting at some
-    position by the same alternation started from b; m = 2 is the adjacent
-    commuting swap; an infinite label never fits.
-    """
+def _braid_moves(graph, w):
+    """Words one braid move away from w: a segment a b a ... of finite length
+    m(a,b) >= 3, replaced by the same alternation started from b.  Every
+    such segment starts a b a, so the label is read only there."""
     labels, out = graph._labels, []
-    for p in range(len(w) - 1):
-        a, b = w[p], w[p + 1]
-        if a == b:
+    for p, (a, b, c) in enumerate(zip(w, w[1:], w[2:])):
+        if a != c:
             continue
         m = labels[a - 1][b - 1]
-        if p + m > len(w):
-            continue
-        seg = w[p:p + m]
-        if seg[2:] == seg[:-2]:
-            out.append(w[:p] + (b,) + seg[:-1] + w[p + m:])
+        if 2 < m <= len(w) - p and w[p + 3:p + m] == w[p + 1:p + m - 2]:
+            out.append(w[:p] + (b,) + w[p:p + m - 1] + w[p + m:])
     return out
 
 
@@ -298,23 +292,18 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
     """All reduced words of the element, with the number of commutation
     classes among them, by brute-force closure.
 
-    The shared breadth-first closure (``trace._closure``) under commutation
-    and braid moves reaches every reduced word of the element; the class
-    count is the number of commutation classes ``oracle_enumerate_class``
-    splits them into.  Independent of the poset and inclusion-exclusion
-    machinery, which is the point: this is the oracle they are tested
-    against.
+    By Matsumoto's theorem, commutation and braid moves connect all reduced
+    words of the element; the classes are the components under commutation
+    moves alone.  One flood (``trace._closure``) fills each class by
+    commutation swaps over the Coxeter alphabet and opens a new class at
+    each braid-move target not yet reached, counting the classes as it
+    goes.  Independent of the poset and inclusion-exclusion machinery,
+    which is the point: this is the oracle they are tested against.
     """
     word = _require_reduced(graph, word)
     cap = DEFAULT_MAX_REDUCED_WORDS if max_words is None else max_words
-    seen = _closure(word, lambda w: _move_neighbors(graph, w), cap, "reduced-word closure")
-    alphabet = CommutationAlphabet.from_coxeter(graph)
-    classes, reached = 0, set()
-    for w in seen:
-        if w not in reached:
-            reached |= oracle_enumerate_class(w, alphabet, max_size=len(seen))
-            classes += 1
-    return seen, classes
+    commuting = CommutationAlphabet.from_coxeter(graph).commuting
+    return _closure(word, commuting, cap, "reduced-word closure", functools.partial(_braid_moves, graph))
 
 
 def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:

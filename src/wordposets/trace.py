@@ -3,10 +3,12 @@
 Two words are equivalent when one turns into the other by repeatedly
 swapping adjacent distinct commuting letters.  The class of a word is
 determined by its word poset, so counting and membership tests go through
-the poset rather than through explicit rewriting.  One explicit
-breadth-first closure (``_closure``) is kept as an independent reference:
-``oracle_enumerate_class`` here and ``reduced.oracle_reduced`` check the
-poset and inclusion-exclusion routes against it.
+the poset rather than through explicit rewriting.  One explicit flood of
+words (``_closure``) is kept as an independent reference: it fills a class
+by swaps and, given braid moves, opens a new class at each braid target
+not yet reached.  ``oracle_enumerate_class`` here and
+``reduced.oracle_reduced`` check the poset and inclusion-exclusion routes
+against it.
 """
 
 from __future__ import annotations
@@ -49,29 +51,44 @@ def same_class(u, v, alphabet: CommutationAlphabet) -> bool:
     return canonical_word(pu, alphabet) == canonical_word(pv, alphabet)
 
 
-def _closure(start, moves, cap, what) -> set:
-    """Every word reachable from ``start`` by repeated ``moves(word)``, by
-    breadth-first search; raises BudgetError past ``cap`` words."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in moves(u):
-                if v not in seen:
+def _closure(start, commuting, cap, what, braids=None):
+    """Every word reachable from ``start`` by swapping adjacent letters a b
+    with b in ``commuting[a]``, and by the moves ``braids(word)`` if given,
+    with the number of classes under swaps alone; raises BudgetError past
+    ``cap`` words.
+
+    One flood: a class is flooded by swaps from its start, each word's
+    braid targets are pending starts, and one not yet reached when taken
+    opens the next class.  So each word is built and its moves read once.
+    """
+    seen, starts, classes = set(), [start], 0
+    while starts:
+        u = starts.pop()
+        if u in seen:
+            continue
+        if seen and len(seen) >= cap:
+            raise BudgetError(f"{what} exceeds {cap} words")
+        seen.add(u)
+        classes += 1
+        frontier = [u]
+        while frontier:
+            u = frontier.pop()
+            if braids:
+                starts += braids(u)
+            for i, (a, b) in enumerate(zip(u, u[1:])):
+                if b in commuting[a] and (v := u[:i] + (b, a) + u[i + 2:]) not in seen:
                     if len(seen) >= cap:
                         raise BudgetError(f"{what} exceeds {cap} words")
                     seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+                    frontier.append(v)
+    return seen, classes
 
 
 def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
                            max_size: int | None = None) -> set:
     """All words reachable by adjacent commuting swaps, as a set of tuples.
 
-    The shared breadth-first closure ``_closure`` (also behind
+    The shared flood ``_closure`` without braid moves (with them it is
     ``reduced.oracle_reduced``), independent of the poset and
     inclusion-exclusion code; the reference answer for count_class and
     enumerate_linear_extensions.
@@ -83,10 +100,4 @@ def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
     for s in start:
         if s not in alphabet:
             raise ValueError(f"letter {s!r} not in alphabet")
-    commuting = alphabet.commuting
-
-    def swaps(u):
-        return [u[:i] + (b, a) + u[i + 2:]
-                for i, (a, b) in enumerate(zip(u, u[1:])) if b in commuting[a]]
-
-    return _closure(start, swaps, max_size, "commutation class")
+    return _closure(start, alphabet.commuting, max_size, "commutation class")[0]

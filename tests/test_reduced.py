@@ -12,6 +12,7 @@ from wordposets import (
     SignToleranceError,
     bound_check,
     canonical_form,
+    canonical_word,
     count_classes,
     count_linear_extensions,
     count_reduced_words,
@@ -317,6 +318,46 @@ def test_wp_set_class_words_match_oracle(graph, max_length):
         assert list(wps.posets) == sorted(
             {min(oracle_enumerate_class(v, alphabet)) for v in words})
         assert wps.element.word == min(words)
+
+
+@pytest.mark.parametrize("graph,max_length", [(B3, None), (H3, None), (AFFINE_A2, 7)],
+                         ids=["B3", "H3", "affine-A2"])
+def test_wp_set_keys_are_reversed_poset_labels(graph, max_length):
+    # each poset is built by adjoining its least minimal label last, so the
+    # greedy least word of its class reads the labels backwards
+    alphabet = CommutationAlphabet.from_coxeter(graph)
+    for word in iter_elements(graph, max_length):
+        for key, poset in wp_set(graph, word).posets.items():
+            assert key == canonical_word(poset, alphabet) == poset.labels[::-1]
+
+
+X3_INF = CoxeterGraph(3, [(1, 2, INFINITY), (2, 3, 3)])
+
+
+@pytest.mark.parametrize("graph,max_length", [(B3, None), (H3, None), (AFFINE_A2, 7), (X3_INF, 8)],
+                         ids=["B3", "H3", "affine-A2", "X3inf"])
+def test_oracle_class_count_is_the_commutation_partition(graph, max_length):
+    # the one flood's class count against the commutation classes of its
+    # words taken one by one; labels 4, 5, 3 and inf between them
+    alphabet = CommutationAlphabet.from_coxeter(graph)
+    for word in iter_elements(graph, max_length):
+        words, classes = oracle_reduced(graph, word)
+        parts = {frozenset(oracle_enumerate_class(v, alphabet)) for v in words}
+        assert classes == len(parts)
+        assert set().union(*parts) == words
+
+
+@pytest.mark.parametrize("graph, word, calls", [
+    (S4, W0_S4, 16), (B3, (1, 2, 1, 3, 2, 1, 3, 2, 3), 42)], ids=["S4-w0", "B3-w0"])
+def test_oracle_reads_each_words_braid_moves_once(graph, word, calls, monkeypatch):
+    # one pass: a second walk over the words would read some moves again
+    read = []
+    braid_moves = reduced._braid_moves
+    monkeypatch.setattr(reduced, "_braid_moves",
+                        lambda graph, w: read.append(w) or braid_moves(graph, w))
+    words, _classes = oracle_reduced(graph, word)
+    assert len(read) == len(words) == calls
+    assert set(read) == words
 
 
 AFFINE_A4 = CoxeterGraph(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 5, 3)])
