@@ -82,33 +82,43 @@ class CommutationAlphabet:
         return cls(tuple(graph.generators), pairs)
 
 
+def _read_directives(text, head, usage, early):
+    """Read one ``head:`` line and then body lines shaped like ``usage``
+    ("edge: i j m"); ``#`` starts a comment.  Returns the head line's number
+    and text and a (line number, fields) pair per body line.  Every syntax
+    error cites its line; ``early`` names a body line met before the head."""
+    body_key, arity = usage.partition(":")[0], len(usage.split()) - 1
+    header, body = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, colon, rest = line.partition(":")
+        if colon and key == head:
+            if header is not None:
+                raise GraphParseError(f"line {lineno}: repeated {head} line")
+            header = (lineno, rest.strip())
+        elif colon and key == body_key:
+            if header is None:
+                raise GraphParseError(f"line {lineno}: {early} before {head} line")
+            fields = rest.split()
+            if len(fields) != arity:
+                raise GraphParseError(f"line {lineno}: expected {usage!r}")
+            body.append((lineno, fields))
+        else:
+            raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
+    if header is None:
+        raise GraphParseError(f"missing '{head}:' line")
+    return (*header, body)
+
+
 def parse_alphabet(text: str) -> CommutationAlphabet:
     """Parse an alphabet description.
 
     Format: one line ``symbols: a b c ...`` followed by zero or more lines
     ``commute: x y``.  ``#`` starts a comment; blank lines are ignored.
     """
-    symbols = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("symbols:"):
-            if symbols is not None:
-                raise GraphParseError(f"line {lineno}: repeated symbols line")
-            symbols = line[len("symbols:"):].split()
-            if not symbols:
-                raise GraphParseError(f"line {lineno}: empty symbol list")
-        elif line.startswith("commute:"):
-            if symbols is None:
-                raise GraphParseError(f"line {lineno}: commute line before symbols line")
-            parts = line[len("commute:"):].split()
-            if len(parts) != 2:
-                raise GraphParseError(f"line {lineno}: expected 'commute: x y'")
-            pairs.append(tuple(parts))
-        else:
-            raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
-    if symbols is None:
-        raise GraphParseError("missing 'symbols:' line")
-    return CommutationAlphabet(symbols, pairs)
+    lineno, symbols, body = _read_directives(text, "symbols", "commute: x y", "commute line")
+    if not symbols:
+        raise GraphParseError(f"line {lineno}: empty symbol list")
+    return CommutationAlphabet(symbols.split(), [pair for _, pair in body])

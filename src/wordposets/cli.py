@@ -15,7 +15,7 @@ import sys
 
 from . import networks, reduced, trace
 from .alphabet import CommutationAlphabet, parse_alphabet
-from .coxeter import INFINITY, parse_graph
+from .coxeter import _read_number, parse_graph
 from .errors import BudgetError, SignToleranceError
 from .poset import build_word_poset, count_linear_extensions
 
@@ -63,18 +63,7 @@ def _parse_trace_word(text, alphabet):
 
 
 def _parse_label_set(text):
-    labels = set()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok == "inf":
-            labels.add(INFINITY)
-        else:
-            try:
-                labels.add(int(tok))
-            except ValueError:
-                raise _UsageError(f"bad label {tok!r} in --labels") from None
+    labels = {_read_number(tok, "--labels") for tok in map(str.strip, text.split(",")) if tok}
     if not labels:
         raise _UsageError("--labels must name at least one label")
     return labels

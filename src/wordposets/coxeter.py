@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+from .alphabet import _read_directives
 from .errors import BudgetError, GraphParseError, NotReducedError, SignToleranceError
 
 __all__ = [
@@ -145,28 +146,33 @@ class CoxeterGraph:
     """Immutable Coxeter graph on generators 1..rank.
 
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
-    pairs get m = 2 (commuting).  The Cartan-style matrix and its sparse
+    pairs get m = 2 (commuting).  A bad rank or edge raises GraphParseError,
+    which names the edge as given.  The Cartan-style matrix and its sparse
     off-diagonal rows serve the reflection action, ``_state_ring``'s tables
     the engines; ``commuting[i - 1]`` holds the generators commuting with i.
     """
 
     def __init__(self, rank, edges=()):
         if type(rank) is not int or rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+            raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
         self.rank = rank
         labels = [[2] * rank for _ in range(rank)]
         for i in range(rank):
             labels[i][i] = 1
-        for i, j, m in edges:
+        for edge in edges:
+            try:
+                i, j, m = edge
+            except (TypeError, ValueError):
+                raise GraphParseError(f"edge {edge!r}: expected (i, j, m)") from None
             if type(i) is not int or type(j) is not int or \
                     not (1 <= i <= rank and 1 <= j <= rank) or i == j:
-                raise ValueError(f"edge ({i}, {j}) out of range for rank {rank}")
+                raise GraphParseError(f"edge {edge!r}: endpoints must be distinct integers in 1..{rank}")
             if m != INFINITY and (not isinstance(m, int) or m < 3):
-                raise ValueError(f"edge label must be an integer >= 3 or INFINITY, got {m!r}")
-            a, b = i - 1, j - 1
-            if labels[a][b] != 2 and labels[a][b] != m:
-                raise ValueError(f"conflicting labels for edge ({i}, {j})")
-            labels[a][b] = labels[b][a] = m
+                raise GraphParseError(f"edge {edge!r}: label must be an integer >= 3 or inf")
+            if labels[i - 1][j - 1] not in (2, m):
+                raise GraphParseError(
+                    f"edge {edge!r}: conflicting labels {labels[i - 1][j - 1]} and {m}")
+            labels[i - 1][j - 1] = labels[j - 1][i - 1] = m
         self._labels = tuple(tuple(row) for row in labels)
         self.commuting = tuple(frozenset(j + 1 for j in range(rank) if row[j] == 2)
                                for row in self._labels)
@@ -226,51 +232,28 @@ class CoxeterGraph:
         }
 
 
-def _parse_label_token(tok):
+def _read_number(tok, where):
+    """A text token that is an integer, or ``inf`` for INFINITY; errors cite ``where``."""
     if tok == "inf":
         return INFINITY
     try:
         return int(tok)
     except ValueError:
-        raise GraphParseError(f"bad edge label {tok!r}") from None
-
-
-def _add_edge(edges, rank, i, j, m, where):
-    """Check edge (i, j, m) and record it under (min, max); errors cite ``where``."""
-    if not (1 <= i <= rank and 1 <= j <= rank):
-        raise GraphParseError(f"{where}: generator index out of range 1..{rank}")
-    if i == j:
-        raise GraphParseError(f"{where}: edge endpoints must differ")
-    if m != INFINITY and m < 3:
-        raise GraphParseError(f"{where}: explicit edge label must be >= 3, got {m}")
-    key = (min(i, j), max(i, j))
-    if edges.setdefault(key, m) != m:
-        raise GraphParseError(f"{where}: conflicting labels for edge {key}")
+        raise GraphParseError(f"{where}: expected an integer or inf, got {tok!r}") from None
 
 
 def _parse_graph_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, nesting
         raise GraphParseError(f"bad JSON graph: {exc}") from None
     if not isinstance(data, dict) or "rank" not in data:
         raise GraphParseError("JSON graph must be an object with a 'rank' key")
-    rank = data["rank"]
-    # JSON true/false load as bool, which Python counts as int
-    if type(rank) is not int or rank < 1:
-        raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
-    edges = {}
-    for entry in data.get("edges", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise GraphParseError(f"edge entry {entry!r} must be [i, j, m]")
-        i, j, m = entry
-        if m == "inf":
-            m = INFINITY
-        if type(i) is not int or type(j) is not int or \
-                (m != INFINITY and type(m) is not int):
-            raise GraphParseError(f"edge entry {entry!r} must hold integers or 'inf'")
-        _add_edge(edges, rank, i, j, m, f"edge {entry!r}")
-    return CoxeterGraph(rank, [(i, j, m) for (i, j), m in edges.items()])
+    edges = data.get("edges", [])
+    if type(edges) is not list:
+        raise GraphParseError(f"JSON graph 'edges' must be a list, got {edges!r}")
+    return CoxeterGraph(data["rank"], [
+        e[:2] + [INFINITY] if type(e) is list and e[2:] == ["inf"] else e for e in edges])
 
 
 def parse_graph(text: str) -> CoxeterGraph:
@@ -280,43 +263,14 @@ def parse_graph(text: str) -> CoxeterGraph:
     m is an integer >= 3 or ``inf``; ``#`` starts a comment and unlisted
     pairs default to m = 2.  The JSON form is an object with keys ``rank``
     and ``edges`` (list of [i, j, m-or-"inf"]).  A pair may be listed twice
-    only with the same label; both endpoint orders are accepted.
+    only with the same label; both endpoint orders are accepted.  Syntax
+    errors cite their line, and ``CoxeterGraph`` names a bad edge as given.
     """
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text)
-    rank = None
-    edges = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("generators:"):
-            if rank is not None:
-                raise GraphParseError(f"line {lineno}: repeated generators line")
-            tok = line[len("generators:"):].strip()
-            try:
-                rank = int(tok)
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: bad generator count {tok!r}") from None
-            if rank < 1:
-                raise GraphParseError(f"line {lineno}: generator count must be positive")
-        elif line.startswith("edge:"):
-            if rank is None:
-                raise GraphParseError(f"line {lineno}: edge before generators line")
-            parts = line[len("edge:"):].split()
-            if len(parts) != 3:
-                raise GraphParseError(f"line {lineno}: expected 'edge: i j m'")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: bad generator index") from None
-            m = _parse_label_token(parts[2])
-            _add_edge(edges, rank, i, j, m, f"line {lineno}")
-        else:
-            raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
-    if rank is None:
-        raise GraphParseError("missing 'generators:' line")
-    return CoxeterGraph(rank, [(i, j, m) for (i, j), m in edges.items()])
+    lineno, count, body = _read_directives(text, "generators", "edge: i j m", "edge")
+    return CoxeterGraph(_read_number(count, f"line {lineno}"), [
+        tuple(_read_number(tok, f"line {n}") for tok in fields) for n, fields in body])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 
 class GraphParseError(ValueError):
-    """A graph or alphabet description file is malformed."""
+    """A graph or alphabet is malformed: a syntax error in its text (citing
+    the line) or a bad rank, edge or symbol, from a file or from code."""
 
 
 class NotReducedError(ValueError):

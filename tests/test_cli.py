@@ -249,6 +249,30 @@ def test_bad_graph_file(files, capsys):
     assert "line 2" in err
 
 
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = '{"rank": 2, "edges": ' + "[" * 10**4 + "]" * 10**4 + "}"
+
+
+@pytest.mark.parametrize("text,argv", [
+    ('{"rank": 3, "edges": 5}', ["count-classes", "--word", "1", "--graph"]),
+    ('{"rank": 3, "edges": null}', ["count-classes", "--word", "1", "--graph"]),
+    ("generators: 2\nedge: 1 3 3\n", ["count-classes", "--word", "1", "--graph"]),
+    ("commute: a b\nsymbols: a b\n", ["trace-count", "--word", "ab", "--alphabet"]),
+    (None, ["search-mk", "--k", "3", "--labels", "3,x"]),
+    (DEEP_JSON, ["count-classes", "--word", "1", "--graph"]),
+], ids=["json-edges-5", "json-edges-null", "edge-out-of-range", "commute-before-symbols",
+        "bad-label", "json-nested-too-deep"])
+def test_malformed_input_ends_with_error_line(tmp_path, capsys, text, argv):
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bad_word(files, capsys):
     code, _, err = run(capsys, ["count-classes", "--graph", files["a2.cox"],
                                 "--word", "1 2 x"])

@@ -116,6 +116,13 @@ def test_graph_constructor_rejects(rank, edges):
         CoxeterGraph(rank, edges)
 
 
+def test_graph_constructor_names_a_bad_edge_as_given():
+    with pytest.raises(GraphParseError, match=r"^edge \(1, 3, 3\): "):
+        CoxeterGraph(2, [(1, 2, 3), (1, 3, 3)])
+    with pytest.raises(GraphParseError, match=r"^edge \(2, 1, 4\): conflicting labels"):
+        parse_graph("generators: 2\nedge: 1 2 3\nedge: 2 1 4\n")
+
+
 def test_type_a():
     g = CoxeterGraph.type_a(3)
     assert g.edges() == [(1, 2, 3), (2, 3, 3)]
@@ -203,6 +210,9 @@ def test_graph_json_roundtrip():
     '{"rank": 2, "edges": [[1, 2, 2]]}',
     '{"rank": true, "edges": []}',
     '{"rank": 3, "edges": [[true, 2, 3]]}',
+    '{"rank": 3, "edges": 5}',
+    '{"rank": 3, "edges": null}',
+    '{"rank": 3, "edges": {}}',
 ])
 def test_parse_graph_errors(text):
     with pytest.raises(GraphParseError):
