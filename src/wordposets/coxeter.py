@@ -71,6 +71,7 @@ TOLERANCE = 1e-9
 _EXACT_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INFINITY: (-2, -2)}
 # Largest lcm of the other labels that the state ring takes: all labels <= 10.
 MAX_RING_LCM = 2520
+MAX_RANK = 1024  # largest rank: the label and Cartan matrices hold rank^2 entries
 
 
 def _cartan_pair(m, exact):
@@ -147,14 +148,17 @@ class CoxeterGraph:
 
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  A bad rank or edge raises GraphParseError,
-    which names the edge as given.  The Cartan-style matrix and its sparse
-    off-diagonal rows serve the reflection action, ``_state_ring``'s tables
-    the engines; ``commuting[i - 1]`` holds the generators commuting with i.
+    which names the edge as given; a rank past MAX_RANK raises BudgetError.
+    The Cartan-style matrix and its sparse off-diagonal rows serve the
+    reflection action, ``_state_ring``'s tables the engines;
+    ``commuting[i - 1]`` holds the generators commuting with i.
     """
 
     def __init__(self, rank, edges=()):
         if type(rank) is not int or rank < 1:
             raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
+        if rank > MAX_RANK:
+            raise BudgetError(f"graph has rank {rank}, rank cap is {MAX_RANK}")
         self.rank = rank
         labels = [[2] * rank for _ in range(rank)]
         for i in range(rank):

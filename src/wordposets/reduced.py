@@ -134,7 +134,8 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     ``window`` the values of the ``depth`` levels below, newest last, and
     swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at once;
     with ``orbits``, one per orbit of an involution sigma (C and R are constant
-    on orbits): one fixing w^-1, so w, or the first one on the whole group."""
+    on orbits): one fixing w^-1, so w, or the first one on the whole group.
+    A longest element w0(J) grows W_J, its growth holding no value per state."""
     cap, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1
     top = element_state(graph, growth["word"][::-1]) if "word" in growth else None
     flip = orbits and next((f for f in _involutions(graph) if top is None or f(top) == top), None)
@@ -336,18 +337,21 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     sets each value from that of a*element, a the least left descent.
 
     Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
-    levels are the interval [e, w] of its suffixes u, each mapped to the
-    state of u*w^-1 = a*(a*u*w^-1) in place of a word: u grows to a*u exactly
-    when a is a left descent of u*w^-1, and the growth must end at one
-    element after len(word) steps, else SignToleranceError.  With the
-    ``flip`` of an involution sigma fixing w (if given), a level keeps the lesser
-    state of each orbit: a child c = a*r with flip(c) < c is kept as flip(c),
-    linked under sigma(a) to flip(r), and a fixed one under a and sigma(a).
-    On the whole group a value is then the pair of least words of u and
-    sigma(u), and ``admit`` reads u's and must commute with sigma.
+    levels are the interval [e, w] of its suffixes u, ending at w alone after
+    len(word) steps, else SignToleranceError.  If each letter of w's support J
+    is a right descent, w = w0(J) and [e, w] = W_J: u maps to None and grows
+    by each letter of J it does not descend by.  Else u maps to the state of
+    u*w^-1 = a*(a*u*w^-1) and grows to a*u exactly when a left-descends
+    u*w^-1.  With the ``flip`` of an involution sigma fixing w (if given), a
+    level keeps the lesser state of each orbit: a child c = a*r with flip(c)
+    < c is kept as flip(c), linked under sigma(a) to flip(r), and a fixed one
+    under a and sigma(a).  On the whole group a value is then the pair of
+    least words of u and sigma(u), and ``admit`` reads u's and must commute
+    with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
-    gens, m, sigma = graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
+    whole = top is not None and state_descents(graph, top) == (support := tuple(sorted(set(word))))
+    gens, m, sigma = support if whole else graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
     if pairs := sigma and top is None:
         admit = lambda pair, ups, admit=admit: admit(pair[0], ups)
@@ -358,7 +362,9 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
             if links[b] != bits:
                 raise SignToleranceError("descent read disagrees with the growth links")
             links[b] = ds
-            if ds:  # the value through the least left descent
+            if whole:
+                level[key] = None
+            elif ds:  # the value through the least left descent
                 a, code = ds[0], links[b + ds[0]]
                 if top is not None:
                     level[key] = step_state(
@@ -374,12 +380,12 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
             return
         ids, up, values = {}, [], list(level.values())
         for i, (key, value) in enumerate(level.items()):
-            if top is None:
+            if top is None or whole:
                 steps = admit(value, [a for a in gens if a not in links[i * m]])
             else:
                 steps = state_descents(graph, value)
-                if bool(steps) != (length < len(word)) or not steps and len(level) > 1:
-                    raise SignToleranceError("lower interval does not end at the element")
+            if top is not None and (bool(steps) != (length < len(word)) or not steps and len(level) > 1):
+                raise SignToleranceError("lower interval does not end at the element")
             own, mirror = 2 * i, 2 * i + 1  # one code object per parent, not per link
             for a in steps:
                 child, code = step_state(graph, key, a), own

@@ -7,12 +7,13 @@ way is pooled; the final criterion re-validates the whole pool against the
 structural conditions.
 
 The stretch check for the 9-wire sorting-network count runs by default and
-takes about 6 s.  The 10-wire count takes about 55-70 s and 235 MB of peak
-RSS on a 2-core Xeon VM with Python 3.11, and runs only with
+takes about 6 s.  The 10-wire count takes about 35-40 s and 200-205 MB of
+peak RSS on a 2-core Xeon VM with Python 3.11, and runs only with
 WORDPOSETS_STRETCH=1 in the environment.
 """
 
 import os
+import resource
 import time
 
 import pytest
@@ -86,8 +87,9 @@ def test_criterion_1_stretch_ten_wires():
     start = time.monotonic()
     value = p_n(10)
     elapsed = time.monotonic() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     _report("criterion 1 stretch (10-wire count)", value == 18410581880,
-            f"got {value} in {elapsed:.0f}s")
+            f"got {value} in {elapsed:.0f}s, peak RSS {peak_mb:.0f} MB")
 
 
 def test_criterion_2_symmetric_group_oracle_equivalence():

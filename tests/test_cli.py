@@ -367,6 +367,18 @@ def test_large_labels_count_or_hit_the_ring_cap(tmp_path, capsys):
     assert err.startswith("error:") and "cap is 2520" in err
 
 
+@pytest.mark.parametrize("rank", [2 ** 70, 1025])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_rank_past_the_cap_is_a_budget_error(tmp_path, capsys, rank, fmt):
+    # the rank is refused before any rank x rank matrix is allocated
+    graph = tmp_path / "big.cox"
+    graph.write_text(json.dumps({"rank": rank}) if fmt == "json" else f"generators: {rank}\n")
+    code, out, err = run(capsys, ["count-classes", "--graph", str(graph), "--word", "1 2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: graph has rank {rank}, rank cap is 1024\n"
+    assert "Traceback" not in err
+
+
 def test_count_reduced_builds_no_posets(tmp_path, capsys, monkeypatch):
     # (1 2 3 4)^15 is H4's longest element, c^(h/2) for the Coxeter number
     # h = 30.  A regression pin of the descent fold's answer: no independent

@@ -169,42 +169,42 @@ def test_memo_cap_boundary_is_the_orbit_window_peak():
 
 def test_class_count_takes_no_generator_steps_of_its_own(monkeypatch):
     # S7's folded interval has 2,544 orbit representatives and 7,632 growth
-    # edges; the growth steps once per edge and once per element past the
-    # identity for the state of u*w^-1, 10,175 in all.  Stepping each Tu
-    # with len(T) >= 2 from T'u took 17,810.
+    # edges; the growth of w0's interval, all of S7, takes one step per
+    # growth edge.  Stepping each Tu with len(T) >= 2 from T'u took 17,810.
     calls = []
     step_state = reduced.step_state
     monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
     assert p_n(7) == 24698
-    assert len(calls) == 10175
+    assert len(calls) == 7632
     graph, word = CoxeterGraph.type_a(6), w0_word(7)
     calls.clear()
     elements = sum(len(level) for level, _links in _levels(graph, word=word, flip=_flip(graph, word)))
-    assert (elements, len(calls)) == (2544, 10175)
+    assert (elements, len(calls)) == (2544, 7632)
 
 
-@pytest.mark.parametrize("graph, word", [(A4, w0_word(5)), (A3, None)],
-                         ids=["S5-w0-folded", "A3-group"])
-def test_growth_steps_a_level_only_after_yielding_it(graph, word, monkeypatch):
+@pytest.mark.parametrize("graph, word, length, held", [
+    (A4, w0_word(5), 10, False), (A4, (1, 4, 2, 3, 2), 5, True), (A3, None, 6, False)],
+    ids=["S5-w0-folded", "S5-14232-folded", "A3-group"])
+def test_growth_steps_a_level_only_after_yielding_it(graph, word, length, held, monkeypatch):
     # a level is read, yielded and only then grown, so the next level is not
     # built while the fold still uses this one (stepping each level's
     # children during its descent read raised P(9)'s peak RSS).  Between two
     # yields the growth steps once per edge out of the yielded level, and an
-    # interval growth once per element of the next level for its u*w^-1.
+    # interval growth that holds u*w^-1 (w not the longest element of its
+    # support) once per element of the next level for it.
     calls = []
     step_state = reduced.step_state
     monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
     m = graph.rank + 1
-    if word is None:
-        levels = _levels(graph)
-        edges = lambda level, links: sum(m - 1 - len(links[i * m]) for i in range(len(level)))
-    else:
-        levels = _levels(graph, word=word, flip=_flip(graph, word))
+    levels = _levels(graph) if word is None else _levels(graph, word=word, flip=_flip(graph, word))
+    if held:
         edges = lambda level, links: sum(len(state_descents(graph, v)) for v in level.values())
+    else:  # the whole group: A3, or S5 as the interval of its w0
+        edges = lambda level, links: sum(m - 1 - len(links[i * m]) for i in range(len(level)))
     seen = []  # (steps before the yield, edges out, elements) per level
     for level, links in levels:
         seen.append((len(calls), edges(level, links), len(level)))
-    assert len(seen) == (7 if word is None else 11) and seen[0][0] == 0
+    assert len(seen) == length + 1 and seen[0][0] == 0
     for (before, out, _size), (after, _out, size) in zip(seen, seen[1:]):
-        assert after - before == out + (0 if word is None else size)
+        assert after - before == out + (size if held else 0)
     assert len(calls) == seen[-1][0] and seen[-1][1] == 0

@@ -450,3 +450,49 @@ def test_reduced_word_fold_matches_the_poset_sum(graph, max_length, elements):
     for word in words:
         assert count_reduced_words(graph, word) == sum(
             count_linear_extensions(p) for p in wp_set(graph, word))
+
+
+# ------------------------------------------- longest elements of W_J
+
+D4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)])
+A1_A1_A2 = CoxeterGraph(4, [(3, 4, 3)])
+
+
+def _longest_of_support(elements):
+    # w0(J) for every support J, told by length alone: the longest element
+    # of the parabolic subgroup W_J, the elements with all letters in J
+    return [w for w in elements if len(w) == max(len(u) for u in elements if set(u) <= set(w))]
+
+
+@pytest.mark.parametrize("graph", [CoxeterGraph.type_a(4), B3, H3, D4, A1_A1_A2],
+                         ids=["A4", "B3", "H3", "D4", "A1xA1xA2"])
+def test_longest_elements_of_their_support_match_oracle(graph):
+    # [e, w0(J)] grows as all of W_J, holding no state of u*w^-1
+    longest = _longest_of_support(list(iter_elements(graph)))
+    assert len(longest) == 2 ** graph.rank
+    for w in longest:
+        words, classes = oracle_reduced(graph, w)
+        posets = wp_set(graph, w)
+        assert count_classes(graph, w) == len(posets) == classes
+        assert count_reduced_words(graph, w) == len(words) == sum(map(count_linear_extensions, posets))
+
+
+@pytest.mark.parametrize("graph", [B3, H3], ids=["B3", "H3"])
+def test_only_longest_elements_grow_without_the_state_of_u_w_inverse(graph, monkeypatch):
+    # the growth of [e, w] steps once per edge a*u -> u; past the identity it
+    # steps each u*w^-1 too, unless w is the longest element of its support
+    elements = list(iter_elements(graph))  # by length: each a*u before u
+    down, below = {}, {}
+    for u in elements:
+        down[u] = [canonical_form(graph, v).word for a in graph.generators
+                   if len(v := element_of(graph, (a,) + u)) < len(u)]
+        below[u] = {u}.union(*(below[v] for v in down[u]))
+    longest = _longest_of_support(elements)
+    calls = []
+    step_state = reduced.step_state
+    monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
+    for w in elements:
+        calls.clear()
+        count_classes(graph, w)
+        edges = sum(len(down[u]) for u in below[w])
+        assert len(calls) == edges if w in longest else len(calls) > edges
