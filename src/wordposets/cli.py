@@ -156,20 +156,16 @@ def _cmd_check(args):
     recursion_classes = reduced.count_classes(graph, word)
     oracle_words, oracle_classes = reduced.oracle_reduced(graph, word)
     failed = False
-
-    if recursion_reduced == poset_reduced == len(oracle_words):
-        print(f"reduced-count: PASS ({poset_reduced})")
-    else:
-        failed = True
-        print(f"reduced-count: FAIL (recursion {recursion_reduced}, "
-              f"poset route {poset_reduced}, oracle {len(oracle_words)})")
-
-    if recursion_classes == oracle_classes == len(wp):
-        print(f"class-count: PASS ({recursion_classes})")
-    else:
-        failed = True
-        print(f"class-count: FAIL (recursion {recursion_classes}, "
-              f"oracle {oracle_classes}, posets {len(wp)})")
+    for name, routes in (
+            ("reduced-count", {"recursion": recursion_reduced, "poset route": poset_reduced,
+                               "oracle": len(oracle_words)}),
+            ("class-count", {"recursion": recursion_classes, "oracle": oracle_classes,
+                             "posets": len(wp)})):
+        if len(set(routes.values())) == 1:
+            print(f"{name}: PASS ({routes['recursion']})")
+        else:
+            failed = True
+            print(f"{name}: FAIL ({', '.join(f'{route} {n}' for route, n in routes.items())})")
 
     # the bound of reduced.bound_check, 9 C^2 <= 4 * 3^len, on the count above
     if not word:

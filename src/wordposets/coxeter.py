@@ -149,8 +149,8 @@ class CoxeterGraph:
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  A bad rank or edge raises GraphParseError,
     which names the edge as given; a rank past MAX_RANK raises BudgetError.
-    The Cartan-style matrix and its sparse off-diagonal rows serve the
-    reflection action, ``_state_ring``'s tables the engines;
+    The Cartan-style matrix serves the reflection action of the tests'
+    column calculus, ``_state_ring``'s tables the engines;
     ``commuting[i - 1]`` holds the generators commuting with i.
     """
 
@@ -188,9 +188,6 @@ class CoxeterGraph:
             for j in range(i + 1, rank):
                 cartan[i][j], cartan[j][i] = _cartan_pair(self._labels[i][j], self.exact)
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.reflection_rows = tuple(
-            tuple((j, cartan[i][j]) for j in range(rank) if j != i and cartan[i][j] != 0)
-            for i in range(rank))
         self.state_degree, self.state_basis, self.state_psi, self.state_rows = \
             _state_ring(self._labels)
 
@@ -316,8 +313,9 @@ def apply_generator(cols, graph, a0):
     the shallow copy ``list(cols)`` leaves ``cols`` as it was.
     """
     ca = cols[a0]
-    for j, c in graph.reflection_rows[a0]:
-        cols[j] = [x - c * y for x, y in zip(cols[j], ca)]
+    for j, c in enumerate(graph.cartan[a0]):
+        if c and j != a0:
+            cols[j] = [x - c * y for x, y in zip(cols[j], ca)]
     cols[a0] = [-x for x in ca]
 
 
@@ -446,20 +444,22 @@ def delete_left_descent(graph, a, word):
     return word[:t] + word[t + 1:]
 
 
-def shortest_non_reduced_prefix(graph, word):
-    """The shortest prefix of ``word`` that is not reduced, or None.
-
-    Scans left to right carrying the state of the prefix's inverse; the
-    prefix through position t is reduced as long as no letter is a left
-    descent of the inverse of the prefix before it.
-    """
-    word = _check_word(graph, word)
-    state = element_state(graph)
+def _scan(graph, word):
+    """(letters, state, prefix): ``word``'s checked letters, scanned with the
+    state of the inverse of the reduced prefix so far; a letter that is a left
+    descent of that inverse ends the scan at ``prefix``, the shortest prefix
+    that is not reduced, else None and ``state`` is that of w^-1."""
+    word, state = _check_word(graph, word), element_state(graph)
     for t, a in enumerate(word):
         if a in state_descents(graph, state):
-            return word[:t + 1]
+            return word, state, word[:t + 1]
         state = step_state(graph, state, a)
-    return None
+    return word, state, None
+
+
+def shortest_non_reduced_prefix(graph, word):
+    """The shortest prefix of ``word`` that is not reduced, or None."""
+    return _scan(graph, word)[2]
 
 
 def is_reduced(graph, word) -> bool:
@@ -468,12 +468,12 @@ def is_reduced(graph, word) -> bool:
 
 
 def _require_reduced(graph, word):
-    """``word`` as a tuple of checked letters; raises unless it is reduced."""
-    word = tuple(word)
-    prefix = shortest_non_reduced_prefix(graph, word)
+    """``word`` as a tuple of checked letters, with the state of its inverse;
+    raises unless it is reduced."""
+    word, state, prefix = _scan(graph, word)
     if prefix is not None:
         raise NotReducedError(f"word is not reduced: offending prefix {list(prefix)}")
-    return word
+    return word, state
 
 
 def element_of(graph, word):
@@ -500,7 +500,7 @@ def element_of(graph, word):
 def left_descents(graph, word) -> set:
     """D(w) = generators whose left multiple is shorter; empty only for the
     identity.  Requires a reduced word."""
-    word = _require_reduced(graph, word)
+    word = _require_reduced(graph, word)[0]
     return set(state_descents(graph, element_state(graph, word)))
 
 
@@ -511,7 +511,7 @@ def multiply_left(graph, a, word):
     down by one (letter deleted) when it is.
     """
     _check_word(graph, (a,))
-    word = _require_reduced(graph, word)
+    word = _require_reduced(graph, word)[0]
     t = _scan_left_deletion(graph, a, word)
     if t is None:
         return (a,) + word
@@ -527,7 +527,7 @@ def canonical_form(graph, word) -> CanonicalElement:
     total invariant: two reduced words get the same canonical form iff they
     represent the same element.
     """
-    word = _require_reduced(graph, word)
+    word = _require_reduced(graph, word)[0]
     state = element_state(graph, word)
     out = []
     for _ in word:

@@ -278,29 +278,14 @@ def enumerate_linear_extensions(poset: WordPoset, alphabet: CommutationAlphabet 
 
 
 def canonical_word(poset: WordPoset, alphabet: CommutationAlphabet | None = None):
-    """Lexicographically smallest word of the class.
-
-    Greedy: repeatedly take the available element with the smallest label.
-    That element is unique because equal-labeled elements are comparable, and
-    greediness is safe because scheduling any available element keeps the rest
-    schedulable.  Two valid word posets are isomorphic iff their canonical
-    words are equal.
+    """Lexicographically smallest word of the class: the first linear
+    extension, which always takes the available element with the smallest
+    label.  That element is unique because equal-labeled elements are
+    comparable, and taking it is safe because scheduling any available
+    element keeps the rest schedulable.  Two valid word posets are
+    isomorphic iff their canonical words are equal.
     """
-    m = len(poset)
-    preds = poset.preds
-    labels = poset.labels
-    key = _label_key(alphabet)
-    placed = 0
-    out = []
-    for _ in range(m):
-        best = None
-        for x in range(m):
-            if not placed >> x & 1 and preds[x] & ~placed == 0:
-                if best is None or key(labels[x]) < key(labels[best]):
-                    best = x
-        out.append(labels[best])
-        placed |= 1 << best
-    return tuple(out)
+    return next(enumerate_linear_extensions(poset, alphabet))
 
 
 def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,

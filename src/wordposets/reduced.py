@@ -134,14 +134,14 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     ``window`` the values of the ``depth`` levels below, newest last, and
     swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at once;
     with ``orbits``, one per orbit of an involution sigma (C and R are constant
-    on orbits): one fixing w^-1, so w, or the first one on the whole group.
-    A longest element w0(J) grows W_J, its growth holding no value per state."""
-    cap, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1
-    top = element_state(graph, growth["word"][::-1]) if "word" in growth else None
-    flip = orbits and next((f for f in _involutions(graph) if top is None or f(top) == top), None)
+    on orbits): one fixing ``top``, the state of w^-1 given with a ``word``,
+    else the first on the whole group; w0(J) grows W_J with no value per state."""
+    cap, m, top = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1, growth.get("top")
+    flip = orbits and next((f for f in _involutions(graph) if "word" not in growth or f(top) == top),
+                           None)
     swap = (same := list(range(m)), _sigma(graph, flip) if flip else same)
     trail, window = [], []
-    for level, links in _levels(graph, flip=flip, top=top, **growth):
+    for level, links in _levels(graph, flip=flip, **growth):
         if sum(map(len, window)) + len(level) > cap:
             raise BudgetError(f"{what} memo exceeds {cap} entries")
         trail = (trail + [links])[-depth:]
@@ -225,15 +225,15 @@ class ClassCounter:
         self.memo_cap = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap
 
     def count(self, word) -> int:
-        """Number of commutation classes of reduced words; ``word`` must
-        already be reduced over the counter's graph."""
-        return _top(_count_levels(self.graph, self.memo_cap, word=tuple(word), orbits=True))
+        """Number of commutation classes of reduced words of the element of
+        ``word``; raises unless it is a reduced word over the counter's graph."""
+        word, top = _require_reduced(self.graph, word)
+        return _top(_count_levels(self.graph, self.memo_cap, word=word, top=top, orbits=True))
 
 
 def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
     """Number of commutation classes of reduced words of the element of the
     reduced word ``word``; equals the size of wp_set without building it."""
-    word = _require_reduced(graph, word)
     return ClassCounter(graph, memo_cap=memo_cap).count(word)
 
 
@@ -248,7 +248,7 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     of at most ``memo_cap`` elements.  Taking the least minimal label first,
     a class's least word reads the labels backwards; the least names w.
     """
-    word = _require_reduced(graph, word)
+    word, top = _require_reduced(graph, word)
     alphabet = CommutationAlphabet.from_coxeter(graph)
     commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
     below = {a: c & (1 << a) - 1 for a, c in commute.items()}
@@ -256,7 +256,8 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     def adjoin(b, trail, window, _swap):
         return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a]) for a in trail[-1][b]
                 for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
-    levels = _fold(graph, adjoin, [(WordPoset((), ()), 0)], 1, memo_cap, "word-poset", word=word)
+    levels = _fold(graph, adjoin, [(WordPoset((), ()), 0)], 1, memo_cap, "word-poset",
+                   word=word, top=top)
     posets = dict(sorted((p.labels[::-1], p) for p, _mins in _top(levels)))
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
@@ -266,13 +267,13 @@ def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     a of R(au) with R(identity) = 1, folded over the lower interval keeping
     two levels of at most ``memo_cap`` counts; no poset is built, but the
     words stay within the 64-position cap of the class posets."""
-    word = _require_reduced(graph, word)
+    word, top = _require_reduced(graph, word)
     if len(word) > DEFAULT_MAX_POSITIONS:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
 
     def words(b, trail, window, _swap):
         return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b])
-    return _top(_fold(graph, words, 1, 1, memo_cap, "reduced-word", orbits=True, word=word))
+    return _top(_fold(graph, words, 1, 1, memo_cap, "reduced-word", orbits=True, word=word, top=top))
 
 
 def _braid_moves(graph, w):
@@ -301,7 +302,7 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
     goes.  Independent of the poset and inclusion-exclusion machinery,
     which is the point: this is the oracle they are tested against.
     """
-    word = _require_reduced(graph, word)
+    word = _require_reduced(graph, word)[0]
     cap = DEFAULT_MAX_REDUCED_WORDS if max_words is None else max_words
     commuting = CommutationAlphabet.from_coxeter(graph).commuting
     return _closure(word, commuting, cap, "reduced-word closure", functools.partial(_braid_moves, graph))
@@ -378,7 +379,7 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
         yield level, links
         if max_length is not None and length >= max_length:
             return
-        ids, up, values = {}, [], list(level.values())
+        ids, up, values = {}, [], None if whole else list(level.values())
         for i, (key, value) in enumerate(level.items()):
             if top is None or whole:
                 steps = admit(value, [a for a in gens if a not in links[i * m]])

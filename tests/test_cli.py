@@ -208,6 +208,15 @@ def test_check_exits_3_on_mismatch(files, capsys, monkeypatch):
     assert "class-count: FAIL" in out
 
 
+def test_check_names_every_class_count_route(files, capsys, monkeypatch):
+    monkeypatch.setattr("wordposets.reduced.count_classes",
+                        lambda graph, word, **kw: 999)
+    code, out, _ = run(capsys, ["check", "--graph", files["a2.cox"],
+                                "--word", "1 2 1"])
+    assert code == 3
+    assert "class-count: FAIL (recursion 999, oracle 2, posets 2)\n" in out
+
+
 def test_check_compares_the_reduced_word_fold(files, capsys, monkeypatch):
     monkeypatch.setattr("wordposets.reduced.count_reduced_words",
                         lambda graph, word, **kw: 999)

@@ -170,6 +170,16 @@ def test_class_counter_shares_memo():
         count_classes(S4, w) for w in iter_elements(S4))
 
 
+def test_class_counter_checks_its_word():
+    counter = ClassCounter(S4)
+    for count in (counter.count, lambda word: count_classes(S4, word)):
+        for bad in ((0,), (5,)):
+            with pytest.raises(ValueError, match="not a generator index"):
+                count(bad)
+        with pytest.raises(NotReducedError, match=r"\[1, 1\]"):
+            count((1, 1))
+
+
 def test_memo_cap_enforced():
     with pytest.raises(BudgetError):
         count_classes(S4, W0_S4, memo_cap=3)
