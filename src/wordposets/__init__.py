@@ -55,45 +55,14 @@ from .trace import count_class, oracle_enumerate_class, same_class
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError",
-    "CanonicalElement",
-    "ClassCounter",
-    "CommutationAlphabet",
-    "CoxeterGraph",
-    "GraphParseError",
-    "INFINITY",
-    "NotReducedError",
-    "SearchResult",
-    "SignToleranceError",
-    "TOLERANCE",
-    "WPSet",
-    "WordPoset",
-    "adjoin_min",
-    "bound_check",
-    "build_word_poset",
-    "canonical_form",
-    "canonical_word",
-    "count_class",
-    "count_classes",
-    "count_linear_extensions",
-    "count_reduced_words",
-    "element_of",
-    "enumerate_linear_extensions",
-    "is_reduced",
-    "iter_elements",
-    "left_descents",
-    "limit_lower_bound",
-    "multiply_left",
-    "oracle_enumerate_class",
-    "oracle_reduced",
-    "p_n",
-    "p_sequence",
-    "parse_alphabet",
-    "parse_graph",
-    "same_class",
-    "search_M",
-    "shortest_non_reduced_prefix",
-    "validate",
-    "w0_word",
+    "BudgetError", "CanonicalElement", "ClassCounter", "CommutationAlphabet",
+    "CoxeterGraph", "GraphParseError", "INFINITY", "NotReducedError", "SearchResult",
+    "SignToleranceError", "TOLERANCE", "WPSet", "WordPoset", "adjoin_min",
+    "bound_check", "build_word_poset", "canonical_form", "canonical_word",
+    "count_class", "count_classes", "count_linear_extensions", "count_reduced_words",
+    "element_of", "enumerate_linear_extensions", "is_reduced", "iter_elements",
+    "left_descents", "limit_lower_bound", "multiply_left", "oracle_enumerate_class",
+    "oracle_reduced", "p_n", "p_sequence", "parse_alphabet", "parse_graph",
+    "same_class", "search_M", "shortest_non_reduced_prefix", "validate", "w0_word",
     "wp_set",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import networks, reduced, trace
@@ -71,6 +70,7 @@ def _parse_label_set(text):
 
 def _emit(args, payload, value, extra=None):
     if args.json:
+        import json  # loaded only where JSON is written, here and in _cmd_poset
         doc = {"command": args.command, "input": payload, "value": value}
         if extra:
             doc.update(extra)
@@ -109,6 +109,7 @@ def _cmd_poset(args):
     graph, word = _graph_and_word(args)
     p = build_word_poset(word, CommutationAlphabet.from_coxeter(graph))
     if args.format == "json":
+        import json
         print(json.dumps(p.to_json_dict()))
     elif args.format == "dot":
         print(p.to_dot(), end="")
@@ -196,7 +197,7 @@ _COMMANDS = (
      False),
     ("pn", _cmd_networks, "number of primitive sorting networks on n wires", _N, True),
     ("pseq", _cmd_networks, "sorting network counts for 1..n", _N, True),
-    ("limit-bound", _cmd_limit_bound, "lower bound for the growth rate from a known P(m)",
+    ("limit-bound", _cmd_limit_bound, "growth rate log P(m) / k_m from a known P(m)",
      (("--m", {"type": int, "required": True}), ("--pm", {"type": int, "default": None})),
      True),
     ("search-mk", _cmd_search_mk, "largest class count over elements of length k",

@@ -40,9 +40,7 @@ integer coefficients on 1, 2 cos(k pi / L) for 0 < k < d, d = phi(2L) / 2
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .alphabet import _read_directives
@@ -244,6 +242,7 @@ def _read_number(tok, where):
 
 
 def _parse_graph_json(text):
+    import json  # here, not at the top: only JSON graphs pay for loading it
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, nesting
@@ -274,10 +273,46 @@ def parse_graph(text: str) -> CoxeterGraph:
         tuple(_read_number(tok, f"line {n}") for tok in fields) for n, fields in body])
 
 
-@dataclass(frozen=True)
-class CanonicalElement:
+class _Record:
+    """Fields in ``__slots__`` with a field-wise ``==`` and repr, as a dataclass
+    has them, without the import of ``dataclasses`` (``inspect``, ``ast``)."""
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A hashable ``_Record`` whose ``__init__`` sets each field once."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class CanonicalElement(_FrozenRecord):
     """A group element named by its lexicographically least reduced word."""
-    word: tuple
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple):
+        object.__setattr__(self, "word", word)
 
     @property
     def length(self) -> int:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
 from operator import itemgetter
 
-from .coxeter import CoxeterGraph, INFINITY, canonical_form
+from .coxeter import CoxeterGraph, INFINITY, _FrozenRecord, canonical_form
 # not called here; bound for bench/tracing.py's per-layer table
 from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
@@ -74,9 +73,10 @@ def p_sequence(n_max: int, *, memo_cap: int | None = None) -> list:
 def limit_lower_bound(m: int, p_m) -> float:
     """log(P(m)) / k_m with k_m = m(m-1)/2, using the natural logarithm.
 
-    Every finite value bounds the limiting per-crossing growth rate of
-    log P from below, so known large P(m) values can be plugged in without
-    recomputation.
+    It bounds lim inf log P(n) / k_n from below exactly when P(n) >=
+    P(m)^((1 - o(1)) k_n / k_m) as n grows, a supermultiplicativity that is
+    not proved here (the rate does rise with m through m = 12).  Known large
+    P(m) can be plugged in without recomputation.
     """
     if type(m) is not int or m < 2:
         raise ValueError(f"m must be an integer > 1, got {m!r}")
@@ -85,12 +85,14 @@ def limit_lower_bound(m: int, p_m) -> float:
     return math.log(p_m) / (m * (m - 1) // 2)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_FrozenRecord):
     """Outcome of search_M: the best class count found and one witness."""
-    value: int
-    graph: CoxeterGraph
-    word: tuple
+    __slots__ = ("value", "graph", "word")
+
+    def __init__(self, value: int, graph: CoxeterGraph, word: tuple):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "word", word)
 
 
 class _Ticker:
@@ -258,7 +260,12 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     ``labels`` (2 meaning no edge) with at most ``max_rank`` generators,
     and every element of length k.  Within that space the result is exact;
     as a statement about all Coxeter groups it is a certified lower bound,
-    tight whenever a maximizer happens to lie inside the space.
+    tight whenever a maximizer happens to lie inside the space.  At length
+    k a label m > k acts as infinity: no braid move of length m fits in the
+    word, so by Tits' word problem and Matsumoto's theorem the reduced
+    words, their classes and C(w) are those with m = infinity.  An element
+    lives in the parabolic subgroup of its support, at most k generators,
+    so ``search_M(k, {2, ..., k, inf}, k)`` is M(k) over every Coxeter group.
 
     max_rank may not exceed k, since a reduced word of length k uses at
     most k distinct generators.  The search decomposes supports into

@@ -14,19 +14,20 @@ recursion bottom-up from the identity's value, given by its caller, over the
 last few levels of that growth, into lists by element id (the counts and the
 search once per diagram orbit), following integer link codes, not states.
 
-The class count obeys a universal bound: for a nonempty reduced word,
-9 C(w)^2 <= 4 * 3^len(w), checked here in exact integer arithmetic.
+``bound_check`` tests 9 C(w)^2 <= 4 * 3^len(w) in exact integers.  It holds
+on every nonempty reduced word counted so far, but it is a check, not a
+theorem: its ratio at the longest element of S_n rises with n (0.61 at 12).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 
 from .alphabet import CommutationAlphabet
 from .coxeter import (
     CanonicalElement,
+    _Record,
     element_state,
     state_descents,
     step_state,
@@ -59,13 +60,15 @@ DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
 _kinds = functools.lru_cache(maxsize=1 << 12)(lambda ds: (ds, sum(1 << a for a in ds)))
 
 
-@dataclass
-class WPSet:
+class WPSet(_Record):
     """The word posets of all commutation classes of reduced words of one
     element, keyed by canonical class word in ascending order; the element
     is named by the first key, its lexicographically least reduced word."""
-    element: CanonicalElement
-    posets: dict = field(default_factory=dict)
+    __slots__ = ("element", "posets")
+
+    def __init__(self, element: CanonicalElement, posets: dict | None = None):
+        self.element = element
+        self.posets = {} if posets is None else posets
 
     def __len__(self):
         return len(self.posets)
@@ -311,8 +314,9 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
 def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     """Whether the class count satisfies 9 C(w)^2 <= 4 * 3^len(word).
 
-    Squaring removes the square root from the bound (2/3) * 3^(len/2), so
-    the comparison is exact integer arithmetic.  Requires a nonempty
+    Squaring removes the square root from (2/3) * 3^(len/2), so the
+    comparison is exact integer arithmetic.  Every element counted so far
+    passes; no proof is known that every element does.  Requires a nonempty
     reduced word.
     """
     word = tuple(word)

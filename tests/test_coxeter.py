@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 
@@ -302,6 +303,21 @@ def test_canonical_element_length():
     elt = CanonicalElement((1, 2, 1))
     assert elt.length == 3
     assert len(elt) == 3
+
+
+def test_canonical_element_is_a_frozen_record():
+    elt = CanonicalElement(word=(1, 2, 1))
+    assert elt == CanonicalElement((1, 2, 1)) == canonical_form(A2, (2, 1, 2))
+    assert elt != CanonicalElement((1, 2))
+    assert elt.__eq__((1, 2, 1)) is NotImplemented and elt != (1, 2, 1)
+    assert hash(elt) == hash(CanonicalElement((1, 2, 1)))
+    assert len({elt, CanonicalElement((1, 2, 1)), CanonicalElement(())}) == 2
+    assert repr(elt) == "CanonicalElement(word=(1, 2, 1))"
+    assert repr(CanonicalElement(())) == "CanonicalElement(word=())"
+    with pytest.raises(AttributeError):
+        elt.word = (1,)
+    assert elt.word == (1, 2, 1)
+    assert pickle.loads(pickle.dumps(elt)) == elt
 
 
 def test_multiply_left_examples():

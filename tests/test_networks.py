@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -97,6 +98,40 @@ def test_limit_lower_bound_rejects_bad_inputs():
         limit_lower_bound(6, 0)
 
 
+# P(6..9) from acceptance criterion 1, P(10) and P(11) computed by p_n,
+# P(12) the input of acceptance criterion 8
+KNOWN_P = {6: 908, 7: 24698, 8: 1232944, 9: 112018190, 10: 18410581880,
+           11: 5449192389984, 12: 2894710651370536}
+
+
+def test_class_count_bound_ratio_at_longest_elements_rises_toward_one():
+    # r(n) = 9 P(n)^2 / (4 * 3^k_n), k_n = n(n-1)/2, compared in integers:
+    # the check 9 C^2 <= 4 * 3^len holds at n <= 12 with shrinking room, so
+    # it is an observation on the elements counted so far, not a theorem
+    def k(n):
+        return n * (n - 1) // 2
+
+    for n, p in KNOWN_P.items():
+        assert 9 * p * p < 4 * 3 ** k(n)
+        if n + 1 in KNOWN_P:
+            q = KNOWN_P[n + 1]
+            assert q * q * 3 ** k(n) > p * p * 3 ** k(n + 1)
+
+
+def test_search_over_labels_through_k_is_max_over_every_coxeter_group():
+    # a label m > k acts as infinity at length k, so {2, ..., k, inf} is
+    # complete for M(k); one label more leaves the value unchanged
+    values = []
+    for k in range(6):
+        result = search_M(k, {*range(2, k + 1), INFINITY}, k)
+        values.append(result.value)
+        assert len(result.word) == k
+        assert oracle_reduced(result.graph, result.word)[1] == result.value
+        if 2 <= k <= 4:
+            assert search_M(k, {*range(2, k + 2), INFINITY}, k).value == result.value
+    assert values == [1, 1, 1, 2, 2, 3]
+
+
 def test_search_small_values():
     values = [search_M(k, max_rank=k).value for k in range(6)]
     assert values == [1, 1, 1, 2, 2, 3]
@@ -107,6 +142,22 @@ def test_search_k0():
     assert isinstance(result, SearchResult)
     assert result.value == 1
     assert result.word == ()
+
+
+def test_search_result_is_a_frozen_record():
+    a2 = CoxeterGraph(2, [(1, 2, 3)])
+    result = SearchResult(value=2, graph=a2, word=(1, 2, 1))
+    assert result == SearchResult(2, a2, (1, 2, 1)) == search_M(3)
+    assert result != SearchResult(2, a2, (2, 1, 2))
+    assert result.__eq__((2, a2, (1, 2, 1))) is NotImplemented
+    assert hash(result) == hash(SearchResult(2, CoxeterGraph.type_a(2), (1, 2, 1)))
+    assert repr(result) == ("SearchResult(value=2, graph=CoxeterGraph(rank=2, "
+                            "edges=[(1, 2, 3)]), word=(1, 2, 1))")
+    assert repr(search_M(0)) == "SearchResult(value=1, graph=CoxeterGraph(rank=1, edges=[]), word=())"
+    with pytest.raises(AttributeError):
+        result.value = 3
+    assert result.value == 2
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_search_witnesses_attain_their_value():

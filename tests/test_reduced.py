@@ -5,11 +5,13 @@ import pytest
 from oracles import random_word, standard_tableaux
 from wordposets import (
     BudgetError,
+    CanonicalElement,
     CommutationAlphabet,
     CoxeterGraph,
     INFINITY,
     NotReducedError,
     SignToleranceError,
+    WPSet,
     bound_check,
     canonical_form,
     canonical_word,
@@ -44,6 +46,29 @@ def test_wp_set_identity():
     assert wps.element.word == ()
     only = next(iter(wps))
     assert len(only) == 0
+
+
+def test_wp_set_is_a_mutable_record():
+    e = CanonicalElement((1, 2, 1))
+    first, second = WPSet(e), WPSet(element=e)
+    assert first.posets == {} and first.posets is not second.posets
+    first.posets[(1,)] = "poset"
+    assert second.posets == {} and first != second
+    assert WPSet(e, {(1,): "poset"}) == first == WPSet(posets={(1,): "poset"}, element=e)
+    assert first.__eq__(e) is NotImplemented and first != e
+    with pytest.raises(TypeError):
+        hash(first)
+    assert len(first) == 1 and list(first) == ["poset"]
+    assert repr(first) == "WPSet(element=CanonicalElement(word=(1, 2, 1)), posets={(1,): 'poset'})"
+    wps = wp_set(A2, (2, 1, 2))
+    assert wps == wp_set(A2, (1, 2, 1))
+    assert repr(wps) == (
+        "WPSet(element=CanonicalElement(word=(1, 2, 1)), posets={"
+        "(1, 2, 1): WordPoset(labels=(1, 2, 1), covers=[(1, 0), (2, 1)]), "
+        "(2, 1, 2): WordPoset(labels=(2, 1, 2), covers=[(1, 0), (2, 1)])})")
+    assert len(wps) == 2 and list(wps) == list(wps.posets.values())
+    wps.element = e
+    assert wps.element is e
 
 
 def test_wp_set_a2():
