@@ -35,6 +35,9 @@ lies in Z[c], c = 2 cos(pi / L), L the lcm of the labels outside {2, 3, 4,
 6, infinity} (Tits' representation is defined over Q(cos pi/m)), held as d
 integer coefficients on 1, 2 cos(k pi / L) for 0 < k < d, d = phi(2L) / 2
 (d = 1 without such labels, d = 2 for H3 and H4); each sign is exact.
+Every word an element query returns (``element_of``, ``multiply_left``,
+``canonical_form``, ``delete_left_descent``) is the least reduced word of its
+element, read off its state by ``_least_word``.
 """
 
 from __future__ import annotations
@@ -450,33 +453,30 @@ def _negative(graph, coeffs):
     return value < 0
 
 
-def _scan_left_deletion(graph, a, word):
-    """Position t such that dropping word[t] yields a reduced word for a*word,
-    or None when a is not a left descent.
+def _least_word(graph, state, most):
+    """Lexicographically least reduced word of the element held in ``state``.
 
-    Steps two states along the prefixes p = word[:t], of p^-1 and p^-1*a;
-    the first letter b with b*p^-1 = p^-1*a, that is p^-1*a*p = b, cancels
-    against a.  For a reduced word this position is unique.
+    Greedy: a reduced word can start with generator a exactly when a is a
+    left descent, so emitting the smallest descent and stepping the state
+    past it is lexicographically optimal at every step.  At most ``most``
+    letters are read, and a read that does not end at the identity state
+    raises SignToleranceError.
     """
-    q = element_state(graph)
-    qa = step_state(graph, q, a)
-    for t, b in enumerate(word):
-        q = step_state(graph, q, b)
-        if q == qa:
-            return t
-        qa = step_state(graph, qa, b)
-    return None
+    identity, out = element_state(graph), []
+    while state != identity and len(out) < most and (descents := state_descents(graph, state)):
+        out.append(descents[0])
+        state = step_state(graph, state, descents[0])
+    if state != identity:
+        raise SignToleranceError(f"least-word read stopped off the identity after {out}")
+    return tuple(out)
 
 
 def delete_left_descent(graph, a, word):
-    """Reduced word for a*word when a is a left descent of the reduced word.
-
-    One letter is deleted; which one is found by the deletion scan.
-    """
-    t = _scan_left_deletion(graph, a, word)
-    if t is None:
+    """Least reduced word of a*word when a is a left descent of the reduced word."""
+    state = element_state(graph, word)
+    if a not in state_descents(graph, state):
         raise RuntimeError(f"generator {a} is not a left descent of {list(word)}")
-    return word[:t] + word[t + 1:]
+    return _least_word(graph, step_state(graph, state, a), len(word))
 
 
 def _scan(graph, word):
@@ -512,24 +512,9 @@ def _require_reduced(graph, word):
 
 
 def element_of(graph, word):
-    """A reduced word for the element represented by an arbitrary word.
-
-    Letters are folded in left to right while keeping the accumulator
-    reduced, with the state of its inverse: a letter that would lengthen is
-    appended, one that would shorten cancels a letter found by the deletion
-    scan instead, run on the reversed word since out*a is the inverse of
-    a*out^-1.
-    """
+    """The least reduced word of the element represented by an arbitrary word."""
     word = _check_word(graph, word)
-    out = ()
-    state = element_state(graph)
-    for a in word:
-        if a in state_descents(graph, state):
-            out = delete_left_descent(graph, a, out[::-1])[::-1]
-        else:
-            out = out + (a,)
-        state = step_state(graph, state, a)
-    return out
+    return _least_word(graph, element_state(graph, word), len(word))
 
 
 def left_descents(graph, word) -> set:
@@ -540,36 +525,16 @@ def left_descents(graph, word) -> set:
 
 
 def multiply_left(graph, a, word):
-    """Reduced word for generator a times the element of reduced ``word``.
-
-    Length goes up by one (letter prepended) when a is not a left descent,
-    down by one (letter deleted) when it is.
-    """
+    """Least reduced word of generator a times the element of reduced ``word``:
+    one letter longer when a is not a left descent, one shorter when it is."""
     _check_word(graph, (a,))
     word = _require_reduced(graph, word)[0]
-    t = _scan_left_deletion(graph, a, word)
-    if t is None:
-        return (a,) + word
-    return word[:t] + word[t + 1:]
+    return _least_word(graph, element_state(graph, (a,) + word), len(word) + 1)
 
 
 def canonical_form(graph, word) -> CanonicalElement:
-    """Lexicographically least reduced word of the element of ``word``.
-
-    Greedy: a reduced word can start with generator a exactly when a is a
-    left descent, so emitting the smallest descent and stepping the state
-    past it is lexicographically optimal at every step.  The result is a
-    total invariant: two reduced words get the same canonical form iff they
-    represent the same element.
-    """
+    """Lexicographically least reduced word of the element of ``word``, read
+    by ``_least_word``.  The result is a total invariant: two reduced words get
+    the same canonical form iff they represent the same element."""
     word = _require_reduced(graph, word)[0]
-    state = element_state(graph, word)
-    out = []
-    for _ in word:
-        descents = state_descents(graph, state)
-        if not descents:
-            raise SignToleranceError("no left descent read off a non-identity element")
-        a = descents[0]
-        out.append(a)
-        state = step_state(graph, state, a)
-    return CanonicalElement(tuple(out))
+    return CanonicalElement(_least_word(graph, element_state(graph, word), len(word)))

@@ -112,22 +112,15 @@ class WordPoset:
         Raises ValueError if the pairs contain a cycle.
         """
         m = len(labels)
-        direct = [0] * m
+        preds = [0] * m
         for x, y in covers:
             if not (0 <= x < m and 0 <= y < m) or x == y:
                 raise ValueError(f"bad cover pair ({x}, {y})")
-            direct[y] |= 1 << x
-        preds = list(direct)
-        changed = True
-        while changed:
-            changed = False
+            preds[y] |= 1 << x
+        for k in range(m):  # Warshall: paths through 0..k
             for y in range(m):
-                acc = preds[y]
-                for x in _bits(preds[y]):
-                    acc |= preds[x]
-                if acc != preds[y]:
-                    preds[y] = acc
-                    changed = True
+                if preds[y] >> k & 1:
+                    preds[y] |= preds[k]
         for x in range(m):
             if preds[x] >> x & 1:
                 raise ValueError("cover pairs contain a cycle")
@@ -242,12 +235,6 @@ def count_linear_extensions(poset: WordPoset, *,
     return count((1 << m) - 1)
 
 
-def _label_key(alphabet):
-    if alphabet is None:
-        return lambda s: s
-    return alphabet.index
-
-
 def enumerate_linear_extensions(poset: WordPoset, alphabet: CommutationAlphabet | None = None):
     """Yield every linear extension as its word, in lexicographic word order.
 
@@ -259,7 +246,7 @@ def enumerate_linear_extensions(poset: WordPoset, alphabet: CommutationAlphabet 
     m = len(poset)
     preds = poset.preds
     labels = poset.labels
-    key = _label_key(alphabet)
+    key = (lambda s: s) if alphabet is None else alphabet.index
     word = []
 
     def emit(placed):

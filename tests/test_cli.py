@@ -226,6 +226,22 @@ def test_check_compares_the_reduced_word_fold(files, capsys, monkeypatch):
     assert "reduced-count: FAIL (recursion 999, poset route 2, oracle 2)" in out
 
 
+def test_check_bound_fail_keeps_exit_0(files, capsys, monkeypatch):
+    # the bound is an observed check, not an oracle: with every counting
+    # route agreeing on C = 2 for the one-letter word, 9 * 4 > 4 * 3 prints
+    # FAIL but the counts are consistent, so the exit code stays 0
+    from wordposets.poset import WordPoset
+    monkeypatch.setattr("wordposets.reduced.wp_set",
+                        lambda graph, word, **kw: [WordPoset.from_covers(("1",), [])] * 2)
+    monkeypatch.setattr("wordposets.reduced.count_reduced_words", lambda graph, word, **kw: 2)
+    monkeypatch.setattr("wordposets.reduced.count_classes", lambda graph, word, **kw: 2)
+    monkeypatch.setattr("wordposets.reduced.oracle_reduced",
+                        lambda graph, word, **kw: ({(1,), (2,)}, 2))
+    code, out, _ = run(capsys, ["check", "--graph", files["a2.cox"], "--word", "1"])
+    assert code == 0
+    assert out == "reduced-count: PASS (2)\nclass-count: PASS (2)\nbound: FAIL\n"
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_usage_error_no_command(capsys):

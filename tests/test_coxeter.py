@@ -490,6 +490,49 @@ def test_canonical_form_is_least_reduced_word(graph):
         assert canonical_form(graph, word).word == min(words)
 
 
+def test_element_queries_return_the_canonical_word():
+    # element_of, multiply_left and delete_left_descent answer with the least
+    # reduced word of their element, as canonical_form does
+    rng = random.Random(67)
+    graphs = [H3, AFFINE_A2] + [
+        random_coxeter_graph(rng, labels=(2, 3, 4, 5, 6, INFINITY)) for _ in range(40)]
+    moved = 0
+    for graph in graphs:
+        word = _grown_reduced_word(graph, rng, 8)
+        least = canonical_form(graph, word).word
+        moved += word != least
+        a = rng.randint(1, graph.rank)
+        assert element_of(graph, word) == element_of(graph, (a, a) + word) == least
+        state = element_state(graph, word)
+        for a in graph.generators:
+            out = multiply_left(graph, a, word)
+            assert element_state(graph, out) == step_state(graph, state, a)
+            assert out == canonical_form(graph, out).word
+            if a in left_descents(graph, word):
+                assert coxeter.delete_left_descent(graph, a, word) == out
+    assert moved >= 10  # most grown words are not the least word of their element
+
+
+def test_delete_left_descent_refuses_a_non_descent():
+    with pytest.raises(RuntimeError, match="not a left descent"):
+        coxeter.delete_left_descent(A2, 2, (1, 2))
+    assert coxeter.delete_left_descent(A2, 1, (1, 2)) == (2,)
+    assert coxeter.delete_left_descent(S4, 2, (2, 1, 2, 3)) == (1, 2, 3)
+
+
+def test_least_word_read_ends_at_the_identity(monkeypatch):
+    # a misread descent set raises rather than returning a wrong word or looping
+    w0 = (1, 2, 1, 3, 2, 1)
+    monkeypatch.setattr(coxeter, "state_descents", lambda graph, state: ())
+    with pytest.raises(SignToleranceError):
+        canonical_form(S4, w0)
+    with pytest.raises(SignToleranceError):
+        element_of(S4, w0)
+    monkeypatch.setattr(coxeter, "state_descents", lambda graph, state: (1,))
+    with pytest.raises(SignToleranceError):
+        canonical_form(A2, (2,))
+
+
 # ------------------------------------- exact vector state vs column matrix
 
 A4 = CoxeterGraph.type_a(4)

@@ -226,6 +226,13 @@ def test_from_covers_closes_transitively():
     assert poset.covers() == [(0, 1), (1, 2)]
 
 
+def test_from_covers_closes_a_chain_listed_against_position_order():
+    poset = WordPoset.from_covers(("a", "b", "c", "d"), [(3, 2), (2, 1), (1, 0)])
+    assert poset.less(3, 0) and poset.less(2, 0) and poset.less(3, 1)
+    assert not poset.less(0, 3)
+    assert poset.covers() == [(1, 0), (2, 1), (3, 2)]
+
+
 def test_json_roundtrip():
     poset = build_word_poset("abcd", ABCD)
     data = json.loads(json.dumps(poset.to_json_dict()))
