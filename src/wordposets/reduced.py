@@ -2,11 +2,11 @@
 
 The reduced words of a group element w split into commutation classes, and
 each class is captured by its word poset.  Three recursions on left descents
-run here: one builds the full set of those posets, one counts the classes by
+run here: one lists each class's least word, one counts the classes by
 inclusion-exclusion without materializing them, and one counts the reduced
-words, R(w) = sum over a in D(w) of R(aw).  A brute-force oracle checks
-all of it: one flood of the reduced words by commutation moves, opening a
-new class at each braid-move target not yet reached.  One loop, ``_levels``,
+words, R(w) = sum over a in D(w) of R(aw).  A brute-force oracle checks all
+of it: one flood of the reduced words by commutation moves, opening a new
+class at each braid-move target not yet reached.  One loop, ``_levels``,
 grows elements up from the identity on their states (see ``coxeter``): the
 whole group for ``iter_elements`` and the search in ``networks``, or the
 lower interval [e, w] of one element.  One fold, ``_fold``, carries each
@@ -37,8 +37,8 @@ from .coxeter import (
     matrix_key,  # noqa: F401
 )
 from .errors import BudgetError, SignToleranceError
-from .poset import DEFAULT_MAX_POSITIONS, WordPoset, adjoin_min
-from .poset import canonical_word, count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
+from .poset import DEFAULT_MAX_POSITIONS, build_word_poset
+from .poset import adjoin_min, canonical_word, count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
 from .trace import _closure
 
 __all__ = [
@@ -241,38 +241,36 @@ def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
 
 
 def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
-    """All word posets of commutation classes of reduced words of ``word``.
+    """All word posets of commutation classes of reduced words of ``word``,
+    each ``build_word_poset`` of its class's least word.
 
-    Recursion on left descents, bottom-up over the lower interval: a poset
-    of u is a poset p of a shortened element au with a new minimal element
-    labeled a, the smallest minimal label.  So p, held with the bit set of
-    its minimal labels, gets a only when none is a b < a commuting with a
-    (b would stay minimal), and each class is built once, keeping two levels
-    of at most ``memo_cap`` elements.  Taking the least minimal label first,
-    a class's least word reads the labels backwards; the least names w.
+    Recursion on left descents, bottom-up over the lower interval: a least
+    word of u is a least word v of a shortened element au with a prepended,
+    the smallest minimal label of its class.  So v, held with the bit set of
+    its class's minimal labels, gets a only when none is a b < a commuting
+    with a (b would stay minimal), and each class is listed once, keeping two
+    levels of at most ``memo_cap`` elements; the least of all names w.
     """
     word, top = _require_reduced(graph, word)
+    if len(word) > DEFAULT_MAX_POSITIONS:
+        raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
     alphabet = CommutationAlphabet.from_coxeter(graph)
     commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
     below = {a: c & (1 << a) - 1 for a, c in commute.items()}
 
-    def adjoin(b, trail, window, _swap):
-        return [(adjoin_min(p, a, alphabet), 1 << a | mins & commute[a]) for a in trail[-1][b]
-                for p, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
-    levels = _fold(graph, adjoin, [(WordPoset((), ()), 0)], 1, memo_cap, "word-poset",
-                   word=word, top=top)
-    posets = dict(sorted((p.labels[::-1], p) for p, _mins in _top(levels)))
+    def prepend(b, trail, window, _swap):
+        return [((a,) + v, 1 << a | mins & commute[a]) for a in trail[-1][b]
+                for v, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
+    levels = _fold(graph, prepend, [((), 0)], 1, memo_cap, "word-poset", word=word, top=top)
+    posets = {v: build_word_poset(v, alphabet) for v in sorted(v for v, _mins in _top(levels))}
     return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
 
 
 def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     """Number of reduced words of the element, R(u) = sum over left descents
     a of R(au) with R(identity) = 1, folded over the lower interval keeping
-    two levels of at most ``memo_cap`` counts; no poset is built, but the
-    words stay within the 64-position cap of the class posets."""
+    two levels of at most ``memo_cap`` counts."""
     word, top = _require_reduced(graph, word)
-    if len(word) > DEFAULT_MAX_POSITIONS:
-        raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
 
     def words(b, trail, window, _swap):
         return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b])

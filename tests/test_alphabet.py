@@ -31,6 +31,14 @@ def test_equality_and_hash():
     assert a != c
 
 
+def test_repr_index_and_foreign_equality():
+    alpha = CommutationAlphabet("abc", [("c", "a")])
+    assert repr(alpha) == "CommutationAlphabet(('a', 'b', 'c'), [('a', 'c')])"
+    with pytest.raises(ValueError, match="not in alphabet"):
+        alpha.index("z")
+    assert alpha.__eq__("abc") is NotImplemented and alpha != "abc"
+
+
 def test_duplicate_symbol_rejected():
     with pytest.raises(ValueError):
         CommutationAlphabet("aba", [])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wordposets import cli
+from wordposets import INFINITY, CoxeterGraph, cli, iter_elements, oracle_reduced, wp_set
 
 
 @pytest.fixture
@@ -183,6 +183,11 @@ def test_search_mk_labels_flag(files, capsys):
     assert out == "1\n"
 
 
+def test_search_mk_empty_label_set_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["search-mk", "--k", "3", "--labels", ","])
+    assert (code, out, err) == (1, "", "error: --labels must name at least one label\n")
+
+
 def test_check_passes(files, capsys):
     code, out, _ = run(capsys, ["check", "--graph", files["a2.cox"],
                                 "--word", "1 2 1"])
@@ -317,11 +322,44 @@ def test_non_reduced_word_reports_prefix(files, capsys):
     assert "offending prefix [2, 2]" in err
 
 
-def test_budget_exit_code_count_reduced(files, capsys):
-    word = " ".join(["1", "2"] * 33)  # 66 letters, reduced, over the cap
-    code, _, err = run(capsys, ["count-reduced", "--graph", files["inf2.cox"],
+def test_count_reduced_has_no_position_cap(files, capsys):
+    word = " ".join(["1", "2"] * 33)  # 66 letters, reduced, past the poset cap
+    code, out, _ = run(capsys, ["count-reduced", "--graph", files["inf2.cox"],
                                 "--word", word])
-    assert code == 2
+    assert (code, out) == (0, "1\n")
+
+
+def test_position_cap_applies_only_where_posets_are_built(tmp_path, capsys):
+    # in I2(inf) x A1 the infinite dihedral part of (1 2)^k 3 has one reduced
+    # word and 3 commutes with both letters, so 3 may sit in any of the
+    # 2k + 1 places: 2k + 1 reduced words in one commutation class
+    graph = tmp_path / "inf2a1.cox"
+    graph.write_text("generators: 3\nedge: 1 2 inf\n")
+    short, long = "1 2 " * 3 + "3", "1 2 " * 33 + "3"
+    words, classes = oracle_reduced(CoxeterGraph(3, [(1, 2, INFINITY)]), (1, 2) * 3 + (3,))
+    assert (len(words), classes) == (7, 1)
+    for word, count in ((short, "7\n"), (long, "67\n")):
+        assert run(capsys, ["count-reduced", "--graph", str(graph), "--word", word]) == (0, count, "")
+        assert run(capsys, ["count-classes", "--graph", str(graph), "--word", word]) == (0, "1\n", "")
+    code, out, err = run(capsys, ["enum-classes", "--graph", str(graph), "--word", long])
+    assert (code, out) == (2, "")
+    assert err == "error: word has 67 letters, position cap is 64\n"
+
+
+def test_enum_classes_lines_are_the_posets_of_wp_set(tmp_path, capsys):
+    # the least word of each class printed by enum-classes, handed back to
+    # poset, gives the class poset that wp_set holds under that word
+    graph = tmp_path / "h3.cox"
+    graph.write_text("generators: 3\nedge: 1 2 5\nedge: 2 3 3\n")
+    h3 = CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)])
+    w0 = list(iter_elements(h3))[-1]
+    posets = wp_set(h3, w0).posets
+    code, out, _ = run(capsys, ["enum-classes", "--graph", str(graph), "--word", " ".join(map(str, w0))])
+    assert code == 0 and len(out.splitlines()) == len(posets) == 44
+    for line in out.splitlines():
+        code, doc, _ = run(capsys, ["poset", "--graph", str(graph), "--word", line, "--format", "json"])
+        key = tuple(map(int, line.split()))
+        assert (code, json.loads(doc)) == (0, posets[key].to_json_dict())
 
 
 def test_budget_exit_code_trace(files, tmp_path, capsys):

@@ -87,6 +87,17 @@ def test_graph_basic_api():
     assert g.edges() == [(1, 2, 3), (2, 3, 4)]
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (1, 4)])
+def test_graph_label_out_of_range(pair):
+    with pytest.raises(ValueError, match="out of range"):
+        CoxeterGraph(3).label(*pair)
+
+
+def test_graph_is_not_equal_to_other_types():
+    g = CoxeterGraph(2, [(1, 2, 3)])
+    assert g.__eq__([[1, 3], [3, 1]]) is NotImplemented and g != [[1, 3], [3, 1]]
+
+
 def test_graph_accepts_reversed_edges_and_duplicates():
     g = CoxeterGraph(2, [(2, 1, 3), (1, 2, 3)])
     assert g.label(1, 2) == 3

@@ -256,6 +256,30 @@ def test_bad_preds_rejected():
         WordPoset(("a", "b"), (0b01, 0))
 
 
+def test_labels_and_preds_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="length mismatch"):
+        WordPoset(("a", "b"), (0,))
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (1, 1)])
+def test_from_covers_rejects_a_bad_pair(pair):
+    with pytest.raises(ValueError, match="bad cover pair"):
+        WordPoset.from_covers(("a", "b"), [pair])
+
+
+def test_equal_posets_hash_equal_and_other_types_are_not_equal():
+    first, second = build_word_poset("abcd", ABCD), WordPoset.from_covers("abcd", [(0, 2), (1, 2), (1, 3)])
+    assert first == second and hash(first) == hash(second)
+    assert first.__eq__("abcd") is NotImplemented and first != "abcd"
+
+
+def test_count_linear_extensions_position_cap():
+    poset = build_word_poset("abc", CommutationAlphabet("abc", []))
+    with pytest.raises(BudgetError, match="poset has 3 elements, position cap is 2"):
+        count_linear_extensions(poset, max_positions=2)
+    assert count_linear_extensions(poset, max_positions=3) == 1
+
+
 def test_count_does_not_depend_on_position_order():
     # the count peels minimal elements off up-sets, so it must not lean on
     # positions following the word: permute them, or grow the poset by

@@ -13,6 +13,7 @@ from wordposets import (
     SignToleranceError,
     WPSet,
     bound_check,
+    build_word_poset,
     canonical_form,
     canonical_word,
     count_classes,
@@ -64,8 +65,8 @@ def test_wp_set_is_a_mutable_record():
     assert wps == wp_set(A2, (1, 2, 1))
     assert repr(wps) == (
         "WPSet(element=CanonicalElement(word=(1, 2, 1)), posets={"
-        "(1, 2, 1): WordPoset(labels=(1, 2, 1), covers=[(1, 0), (2, 1)]), "
-        "(2, 1, 2): WordPoset(labels=(2, 1, 2), covers=[(1, 0), (2, 1)])})")
+        "(1, 2, 1): WordPoset(labels=(1, 2, 1), covers=[(0, 1), (1, 2)]), "
+        "(2, 1, 2): WordPoset(labels=(2, 1, 2), covers=[(0, 1), (1, 2)])})")
     assert len(wps) == 2 and list(wps) == list(wps.posets.values())
     wps.element = e
     assert wps.element is e
@@ -323,19 +324,20 @@ def test_interval_ending_at_two_elements_raises(monkeypatch):
         wp_set(S4, (1, 2))
 
 
-@pytest.mark.parametrize("graph,calls", [(S4, 42), (B3, 102), (H3, 427)],
+@pytest.mark.parametrize("graph,calls", [(S4, 8), (B3, 14), (H3, 44)],
                          ids=["S4", "B3", "H3"])
 def test_wp_set_builds_each_class_once(graph, calls, monkeypatch):
-    # below the longest element every class of every element but the
-    # identity is one adjoin_min call; a class rebuilt from a second
-    # minimal letter would be counted twice
+    # the fold below the longest element carries least words, not posets;
+    # each class of the longest element is one build_word_poset call, and
+    # a class reached from a second minimal letter would be built twice
     made = []
-    adjoin_min = reduced.adjoin_min
-    monkeypatch.setattr(reduced, "adjoin_min",
-                        lambda *args, **kwargs: made.append(args[1]) or adjoin_min(*args, **kwargs))
-    elements = list(iter_elements(graph))
-    wp_set(graph, elements[-1])
-    assert len(made) == calls == sum(count_classes(graph, u) for u in elements) - 1
+    build_word_poset = reduced.build_word_poset
+    monkeypatch.setattr(reduced, "adjoin_min", lambda *args, **kwargs: pytest.fail("wp_set adjoined"))
+    monkeypatch.setattr(reduced, "build_word_poset",
+                        lambda *args, **kwargs: made.append(args[0]) or build_word_poset(*args, **kwargs))
+    w0 = list(iter_elements(graph))[-1]
+    wp_set(graph, w0)
+    assert len(made) == calls == count_classes(graph, w0)
 
 
 AFFINE_A2 = CoxeterGraph(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
@@ -357,13 +359,14 @@ def test_wp_set_class_words_match_oracle(graph, max_length):
 
 @pytest.mark.parametrize("graph,max_length", [(B3, None), (H3, None), (AFFINE_A2, 7)],
                          ids=["B3", "H3", "affine-A2"])
-def test_wp_set_keys_are_reversed_poset_labels(graph, max_length):
-    # each poset is built by adjoining its least minimal label last, so the
-    # greedy least word of its class reads the labels backwards
+def test_wp_set_keys_are_poset_labels(graph, max_length):
+    # each poset is the word poset of its class's least word, numbered in
+    # word order, so its labels read that word forwards
     alphabet = CommutationAlphabet.from_coxeter(graph)
     for word in iter_elements(graph, max_length):
         for key, poset in wp_set(graph, word).posets.items():
-            assert key == canonical_word(poset, alphabet) == poset.labels[::-1]
+            assert key == canonical_word(poset, alphabet) == poset.labels
+            assert poset == build_word_poset(key, alphabet)
 
 
 X3_INF = CoxeterGraph(3, [(1, 2, INFINITY), (2, 3, 3)])
@@ -510,6 +513,16 @@ def test_longest_elements_of_their_support_match_oracle(graph):
         posets = wp_set(graph, w)
         assert count_classes(graph, w) == len(posets) == classes
         assert count_reduced_words(graph, w) == len(words) == sum(map(count_linear_extensions, posets))
+
+
+@pytest.mark.parametrize("graph", [CoxeterGraph.type_a(4), B3, H3, D4],
+                         ids=["A4", "B3", "H3", "D4"])
+def test_wp_set_posets_are_word_posets_of_their_keys(graph):
+    # one builder for class posets: each is the word poset of its least word
+    alphabet = CommutationAlphabet.from_coxeter(graph)
+    for word in iter_elements(graph):
+        for key, poset in wp_set(graph, word).posets.items():
+            assert poset == build_word_poset(key, alphabet)
 
 
 @pytest.mark.parametrize("graph", [B3, H3], ids=["B3", "H3"])
