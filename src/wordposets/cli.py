@@ -93,7 +93,7 @@ def _cmd_count(args):
 
 def _cmd_enum_classes(args):
     graph, word = _graph_and_word(args)
-    for class_word in reduced.wp_set(graph, word).posets:
+    for class_word in reduced.least_words(graph, word):
         print(" ".join(str(a) for a in class_word))
     return 0
 

@@ -10,9 +10,9 @@ class at each braid-move target not yet reached.  One loop, ``_levels``,
 grows elements up from the identity on their states (see ``coxeter``): the
 whole group for ``iter_elements`` and the search in ``networks``, or the
 lower interval [e, w] of one element.  One fold, ``_fold``, carries each
-recursion bottom-up from the identity's value, given by its caller, over the
-last few levels of that growth, into lists by element id (the counts and the
-search once per diagram orbit), following integer link codes, not states.
+recursion bottom-up from the identity's value over the last few levels of
+that growth, one step call per level giving its values in a list by element
+id (the counts and the search once per orbit), following link codes.
 
 ``bound_check`` tests 9 C(w)^2 <= 4 * 3^len(w) in exact integers.  It holds
 on every nonempty reduced word counted so far, but it is a check, not a
@@ -47,6 +47,7 @@ __all__ = [
     "WPSet",
     "ClassCounter",
     "wp_set",
+    "least_words",
     "count_reduced_words",
     "count_classes",
     "oracle_reduced",
@@ -131,14 +132,14 @@ def _sigma(graph, flip):
 
 
 def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
-    """Each level of ``_levels(graph, **growth)`` with its values by id,
-    [seed] for the identity and step(b, trail, window, swap) for the element
-    at links slot b: ``trail`` holds the last ``depth`` links lists,
-    ``window`` the values of the ``depth`` levels below, newest last, and
-    swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at once;
-    with ``orbits``, one per orbit of an involution sigma (C and R are constant
-    on orbits): one fixing ``top``, the state of w^-1 given with a ``word``,
-    else the first on the whole group; w0(J) grows W_J with no value per state."""
+    """Each level of ``_levels(graph, **growth)`` with its values by id:
+    [seed] for the identity, then the list step(trail, window, swap), one
+    call per level: ``trail`` holds the last ``depth`` links lists, newest
+    (this level's) last, ``window`` the values of the ``depth`` levels below,
+    and swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at
+    once; with ``orbits``, one per orbit of an involution sigma (C and R are
+    constant on orbits): one fixing ``top``, the state of w^-1 given with a
+    ``word``, else the first on the whole group; w0(J) grows W_J bare."""
     cap, m, top = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1, growth.get("top")
     flip = orbits and next((f for f in _involutions(graph) if "word" not in growth or f(top) == top),
                            None)
@@ -148,7 +149,7 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
         if sum(map(len, window)) + len(level) > cap:
             raise BudgetError(f"{what} memo exceeds {cap} entries")
         trail = (trail + [links])[-depth:]
-        here = [step(b, trail, window, swap) for b in range(0, len(links), m)] if window else [seed]
+        here = step(trail, window, swap) if window else [seed]
         window = (window + [here])[-depth:]
         yield level, here
 
@@ -175,14 +176,17 @@ def _count_levels(graph, memo_cap=None, **growth):
     """
     (steps, depth), m = _count_plan(graph.commuting), graph.rank + 1
 
-    def count(b, trail, counts, swap):
-        ds, codes, c = trail[-1][b], [b // m * 2], 0
-        for j, a, d, sign in steps.get(ds) or steps.setdefault(ds, _independent_subsets(graph, ds)):
-            f = codes[j] & 1
-            code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
-            c += sign * counts[d][code >> 1]
-            codes.append(code)
-        return c
+    def count(trail, counts, swap):
+        links, out, plan = trail[-1], [], steps.get
+        for b in range(0, len(links), m):
+            ds, codes, c = links[b], [b // m * 2], 0
+            for j, a, d, sign in plan(ds) or steps.setdefault(ds, _independent_subsets(graph, ds)):
+                f = codes[j] & 1
+                code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
+                c += sign * counts[d][code >> 1]
+                codes.append(code)
+            out.append(c)
+        return out
     return _fold(graph, count, 1, depth, memo_cap, "class-count", **growth)
 
 
@@ -240,9 +244,9 @@ def count_classes(graph, word, *, memo_cap: int | None = None) -> int:
     return ClassCounter(graph, memo_cap=memo_cap).count(word)
 
 
-def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
-    """All word posets of commutation classes of reduced words of ``word``,
-    each ``build_word_poset`` of its class's least word.
+def least_words(graph, word, *, memo_cap: int | None = None) -> list:
+    """The least word of each commutation class of reduced words of ``word``,
+    ascending, refused past the poset position cap.
 
     Recursion on left descents, bottom-up over the lower interval: a least
     word of u is a least word v of a shortened element au with a prepended,
@@ -254,26 +258,34 @@ def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
     word, top = _require_reduced(graph, word)
     if len(word) > DEFAULT_MAX_POSITIONS:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
-    alphabet = CommutationAlphabet.from_coxeter(graph)
     commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
-    below = {a: c & (1 << a) - 1 for a, c in commute.items()}
+    below, m = {a: c & (1 << a) - 1 for a, c in commute.items()}, graph.rank + 1
 
-    def prepend(b, trail, window, _swap):
-        return [((a,) + v, 1 << a | mins & commute[a]) for a in trail[-1][b]
-                for v, mins in window[-1][trail[-1][b + a] >> 1] if not mins & below[a]]
+    def prepend(trail, window, _swap):
+        links, words = trail[-1], window[-1]
+        return [[((a,) + v, 1 << a | mins & commute[a]) for a in links[b]
+                 for v, mins in words[links[b + a] >> 1] if not mins & below[a]]
+                for b in range(0, len(links), m)]
     levels = _fold(graph, prepend, [((), 0)], 1, memo_cap, "word-poset", word=word, top=top)
-    posets = {v: build_word_poset(v, alphabet) for v in sorted(v for v, _mins in _top(levels))}
-    return WPSet(element=CanonicalElement(next(iter(posets))), posets=posets)
+    return sorted(v for v, _mins in _top(levels))
+
+
+def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
+    """All word posets of commutation classes of reduced words of ``word``,
+    each ``build_word_poset`` of its class's least word (``least_words``)."""
+    words, alphabet = least_words(graph, word, memo_cap=memo_cap), CommutationAlphabet.from_coxeter(graph)
+    return WPSet(CanonicalElement(words[0]), {v: build_word_poset(v, alphabet) for v in words})
 
 
 def count_reduced_words(graph, word, *, memo_cap: int | None = None) -> int:
     """Number of reduced words of the element, R(u) = sum over left descents
     a of R(au) with R(identity) = 1, folded over the lower interval keeping
     two levels of at most ``memo_cap`` counts."""
-    word, top = _require_reduced(graph, word)
+    (word, top), m = _require_reduced(graph, word), graph.rank + 1
 
-    def words(b, trail, window, _swap):
-        return sum(window[-1][trail[-1][b + a] >> 1] for a in trail[-1][b])
+    def words(trail, window, _swap):
+        links, below = trail[-1], window[-1]
+        return [sum(below[links[b + a] >> 1] for a in links[b]) for b in range(0, len(links), m)]
     return _top(_fold(graph, words, 1, 1, memo_cap, "reduced-word", orbits=True, word=word, top=top))
 
 
@@ -332,8 +344,8 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     2 * id' + f of a*element (element id' a level down, under the ``flip``
     if f is 1) for each left descent a, else -1.
 
-    A child is a*u for a generator a that is not a left descent of u and that
-    ``admit(word, ups)`` keeps of the list ``ups`` of such generators (it
+    A child is a*u for a generator a not a left descent of u (on the whole
+    group, one ``admit(word, ups)`` keeps of the list ``ups`` of them, which
     must keep every suffix of a kept element), so an element is linked from
     a*element for each left descent a.  A level is read, yielded, then grown;
     its descent read must confirm the links, else SignToleranceError, and
@@ -343,14 +355,14 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     levels are the interval [e, w] of its suffixes u, ending at w alone after
     len(word) steps, else SignToleranceError.  If each letter of w's support J
     is a right descent, w = w0(J) and [e, w] = W_J: u maps to None and grows
-    by each letter of J it does not descend by.  Else u maps to the state of
-    u*w^-1 = a*(a*u*w^-1) and grows to a*u exactly when a left-descends
-    u*w^-1.  With the ``flip`` of an involution sigma fixing w (if given), a
-    level keeps the lesser state of each orbit: a child c = a*r with flip(c)
-    < c is kept as flip(c), linked under sigma(a) to flip(r), and a fixed one
-    under a and sigma(a).  On the whole group a value is then the pair of
-    least words of u and sigma(u), and ``admit`` reads u's and must commute
-    with sigma.
+    by each letter of J it does not descend by, listed once per descent set.
+    Else u maps to the state of u*w^-1 = a*(a*u*w^-1) and grows to a*u
+    exactly when a left-descends u*w^-1.  With the ``flip`` of an involution
+    sigma fixing w (if given), a level keeps the lesser state of each orbit:
+    a child c = a*r with flip(c) < c is kept as flip(c), linked under
+    sigma(a) to flip(r), and a fixed one under a and sigma(a).  On the whole
+    group a value is then the pair of least words of u and sigma(u), and
+    ``admit`` reads u's and must commute with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
     whole = top is not None and state_descents(graph, top) == (support := tuple(sorted(set(word))))
@@ -359,6 +371,7 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     if pairs := sigma and top is None:
         admit = lambda pair, ups, admit=admit: admit(pair[0], ups)
     level, links, length = {element_state(graph): top or (((), ()) if pairs else ())}, blank[:], 0
+    asc = {}  # on W_J: descent tuple -> its ascents, the letters of J not in it
     while level:
         for b, key in zip(range(0, len(links), m), level):
             ds, bits = _kinds(tuple(state_descents(graph, key)))
@@ -381,9 +394,11 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
         yield level, links
         if max_length is not None and length >= max_length:
             return
-        ids, up, values = {}, [], None if whole else list(level.values())
+        setdefault, up, values = (ids := {}).setdefault, [], None if whole else list(level.values())
         for i, (key, value) in enumerate(level.items()):
-            if top is None or whole:
+            if whole:
+                steps = asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d])
+            elif top is None:
                 steps = admit(value, [a for a in gens if a not in links[i * m]])
             else:
                 steps = state_descents(graph, value)
@@ -394,9 +409,9 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
                 child, code = step_state(graph, key, a), own
                 if flip and (image := flip(child)) < child:
                     child, a, code = image, sigma[a], mirror
-                c = ids.setdefault(child, len(ids)) * m
-                if c == len(up):
+                if (c := setdefault(child, n := len(ids))) == n:
                     up += blank
+                c *= m
                 up[c + a], up[c] = code, up[c] | 1 << a
                 if flip and code == own and image == child:  # a fixed a*r is sigma(a)*flip(r) too
                     up[c + sigma[a]], up[c] = mirror, up[c] | 1 << sigma[a]

@@ -362,6 +362,22 @@ def test_enum_classes_lines_are_the_posets_of_wp_set(tmp_path, capsys):
         assert (code, json.loads(doc)) == (0, posets[key].to_json_dict())
 
 
+def test_enum_classes_builds_no_posets(tmp_path, capsys, monkeypatch):
+    # enum-classes prints least words only, so it lists H3's 44 classes
+    # with the poset builder out of reach
+    graph = tmp_path / "h3.cox"
+    graph.write_text("generators: 3\nedge: 1 2 5\nedge: 2 3 3\n")
+    w0 = " ".join(map(str, list(iter_elements(CoxeterGraph(3, [(1, 2, 5), (2, 3, 3)])))[-1]))
+    argv = ["enum-classes", "--graph", str(graph), "--word", w0]
+    code, expected, _ = run(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enum-classes built a poset")
+    monkeypatch.setattr("wordposets.reduced.build_word_poset", refuse)
+    assert run(capsys, argv) == (0, expected, "")
+    assert code == 0 and len(expected.splitlines()) == 44
+
+
 def test_budget_exit_code_trace(files, tmp_path, capsys):
     alpha = tmp_path / "one.alpha"
     alpha.write_text("symbols: a\n")

@@ -436,6 +436,24 @@ def test_count_plans_are_shared_by_graphs_that_commute_alike():
     assert reduced._count_plan(CoxeterGraph.type_a(9).commuting)[1] == 5
 
 
+@pytest.mark.parametrize("graph, word, wj", [
+    (S4, W0_S4, True), (AFFINE_A2, (1, 2, 3, 1, 2, 3, 2), False)], ids=["S4-w0", "affine-A2"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_fold_steps_once_per_level(graph, word, wj, depth):
+    # one step call per level above the identity, returning that level's
+    # values in id order, with at most ``depth`` levels of links and values;
+    # S4's w0 grows W_J (no value per state), the affine word its interval
+    calls, m = [], graph.rank + 1
+
+    def step(trail, window, swap):
+        calls.append((len(trail), len(window)))
+        return [len(calls)] * (len(trail[-1]) // m)
+    levels = list(reduced._fold(graph, step, 0, depth, None, "test", word=word))
+    assert calls == [(min(i + 1, depth), min(i, depth)) for i in range(1, len(word) + 1)]
+    assert [values for _level, values in levels] == [[i] * len(level) for i, (level, _) in enumerate(levels)]
+    assert all((value is None) == wj for level, _values in levels[1:] for value in level.values())
+
+
 H5_INF = CoxeterGraph(3, [(1, 2, 5), (2, 3, INFINITY)])
 
 
@@ -445,15 +463,14 @@ def test_float_path_counts_or_refuses_long_words(k):
     # their signs by k = 10); the exact state must count.  The word has one
     # class, whose poset has 2^(k-1) linear extensions because each adjacent
     # 3 1 may swap on its own.  The closure confirms it up to k = 15 (at
-    # k = 20 it takes minutes, at 25 it passes its word cap), and the
-    # 64-position poset cap stops count_reduced_words after k = 21.
+    # k = 20 it takes minutes, at 25 it passes its word cap);
+    # count_reduced_words builds no poset, so no position cap stops it.
     word = (1, 2, 3) * k
     assert count_classes(H5_INF, word) == 1
     if k <= 15:
         words, classes = oracle_reduced(H5_INF, word)
         assert (len(words), classes) == (2 ** (k - 1), 1)
-    if k <= 21:
-        assert count_reduced_words(H5_INF, word) == 2 ** (k - 1)
+    assert count_reduced_words(H5_INF, word) == 2 ** (k - 1)
 
 
 B4 = CoxeterGraph(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)])
