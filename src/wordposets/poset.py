@@ -19,7 +19,7 @@ lexicographically smallest linear-extension word.
 
 Order is stored as one predecessor bit set per element, so comparability
 tests are single mask probes and the extension-counting dynamic program
-runs over up-set bit sets, peeling off minimal elements.
+runs forward over down-set bit sets, adding one minimal element at a time.
 """
 
 from __future__ import annotations
@@ -207,32 +207,22 @@ def count_linear_extensions(poset: WordPoset, *,
                             max_positions: int = DEFAULT_MAX_POSITIONS) -> int:
     """Exact number of linear extensions.
 
-    Dynamic program over up-sets: an extension of an up-set starts with one
-    of its minimal elements, so counts add over removing each minimal element.
-    Memoized on the up-set's bit set; exact big integers throughout.
+    Forward over down-sets by size, keyed by bit set: a minimal element of
+    the rest extends each down-set's extensions to one larger down-set.  A
+    table with a cycle never fills the whole set, so it counts 0.
     """
     m = len(poset)
     if m > max_positions:
         raise BudgetError(f"poset has {m} elements, position cap is {max_positions}")
-    preds = poset.preds
-    memo = {0: 1}
-
-    def count(mask):
-        try:
-            return memo[mask]
-        except KeyError:
-            pass
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if preds[low.bit_length() - 1] & mask == 0:
-                total += count(mask ^ low)
-        memo[mask] = total
-        return total
-
-    return count((1 << m) - 1)
+    elements, counts = [(1 << x, p) for x, p in enumerate(poset.preds)], {0: 1}
+    for _size in range(m):
+        grown = {}
+        for down, c in counts.items():
+            for bit, p in elements:
+                if not down & bit and p & down == p:
+                    grown[down | bit] = grown.get(down | bit, 0) + c
+        counts = grown
+    return counts.get((1 << m) - 1, 0)
 
 
 def enumerate_linear_extensions(poset: WordPoset, alphabet: CommutationAlphabet | None = None):

@@ -171,10 +171,12 @@ def _count_levels(graph, memo_cap=None, **growth):
     from T'u (T less its last letter a) through the link codes, never by a
     generator step: with T'u's code 2*id + f, Tu's is the link of the
     element id under sigma^f(a), xor f.  Counts are kept for as many levels
-    below as the most generators that pairwise commute, the most letters of
-    a T, at most ``memo_cap`` at once.
+    below as the most pairwise-commuting letters of the word's support J
+    (all generators on the whole group), as [e, w] lies in W_J.
     """
-    (steps, depth), m = _count_plan(graph.commuting), graph.rank + 1
+    support, m = set(growth.get("word", graph.generators)), graph.rank + 1
+    steps, depth = _count_plan(tuple(c & support if a in support else frozenset()
+                                     for a, c in enumerate(graph.commuting, 1)))
 
     def count(trail, counts, swap):
         links, out, plan = trail[-1], [], steps.get
@@ -194,17 +196,16 @@ def _count_levels(graph, memo_cap=None, **growth):
 def _count_plan(commuting):
     """Subset steps by descent tuple, shared by graphs with these ``commuting``
     sets, and the window's depth: the most generators that pairwise commute,
-    searched up to the greedy count of non-commuting groups, which bounds it."""
-    group = {}  # a -> the first group holding none of a's commuters
-    for a in range(1, len(commuting) + 1):
-        group[a] = min(set(range(a)) - {group.get(b) for b in commuting[a - 1]})
-    cap = max(group.values()) + 1
+    by a branch and bound."""
 
     def widest(rest, size, best):  # ``size`` letters chosen, more from ``rest``
         for i, a in enumerate(rest):
-            if best >= cap or size + len(rest) - i <= best:
+            if size + len(rest) - i <= best:
                 break
-            best = widest([b for b in rest[i + 1:] if b in commuting[a - 1]], size + 1, best)
+            keep = [b for b in rest[i + 1:] if b in commuting[a - 1]]
+            best = widest(keep, size + 1, best)
+            if len(rest) - i - len(keep) <= 2:  # a fights at most one later letter b,
+                break  # so a set without a is no wider than with a in b's place
         return max(best, size)
     return {}, widest(list(range(1, len(commuting) + 1)), 0, 0)
 

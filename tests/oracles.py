@@ -12,7 +12,8 @@ import random
 from itertools import permutations
 
 from wordposets.alphabet import CommutationAlphabet
-from wordposets.coxeter import CoxeterGraph, INFINITY
+from wordposets.coxeter import (
+    CoxeterGraph, INFINITY, apply_generator, descents_from_inverse, inverse_columns, matrix_key)
 
 LETTERS = "abcde"
 
@@ -148,6 +149,62 @@ def steinberg_series(finite_parabolics, n):
         for k, c in enumerate(_series_quotient([0] * shift + [1], w, n)):
             total[k] += (-1) ** size * c
     return _series_quotient([1], total, n)
+
+
+def least_word_class_count(graph, word):
+    """Commutation classes of reduced words of the element of the reduced
+    ``word``, counted as the lexicographically least words of its classes.
+
+    A word is least in its class iff no factor b v a has a < b with a
+    commuting with b and with every letter of v (Anisimov and Knuth,
+    "Inhomogeneous sorting", 1979; the trace normal forms of Cartier and
+    Foata, 1969).  Read left to right, F holds the letters such a factor
+    would end with: letter x may come next iff x is not in F, and then
+    F' = (F | {a < x}) & commuting(x).  So the count is of the paths from w
+    down to e that peel one left descent at a time, F in tow, level by level
+    with each element's F counts merged.  No subsets, link codes, windows or
+    orbits, which is the point, and no ``coxeter.step_state``: with every
+    label 2, 3, 4, 6 or inf, u is the vector u(rho^v) stepped by the integer
+    Cartan matrix, its coordinate <alpha_a, u(rho^v)> negative iff a is a
+    left descent; with a label of 5 or more, u is the column matrix of u^-1
+    in the float column calculus.
+    """
+    commute = {x: sum(1 << a for a in graph.generators if graph.commutes(a, x))
+               for x in graph.generators}
+    if graph.exact:
+        rows = [[(b, c) for b, c in enumerate(row) if c and b != a] for a, row in enumerate(graph.cartan)]
+
+        def step(v, x):  # s_x(v), coordinate b less A[x][b] times coordinate x
+            v, vx = list(v), v[x - 1]
+            for b, c in rows[x - 1]:
+                v[b] -= c * vx
+            v[x - 1] = -vx
+            return tuple(v)
+        state = (1,) * graph.rank
+        for x in reversed(word):
+            state = step(state, x)
+        key, descents = (lambda v: v), (lambda v: [a for a, va in enumerate(v, 1) if va < 0])
+    else:
+        def step(cols, x):  # u -> x*u is u^-1 -> u^-1 * x
+            cols = list(cols)
+            apply_generator(cols, graph, x - 1)
+            return cols
+        state = inverse_columns(graph, word)
+        key, descents = (lambda cols: matrix_key(graph, cols)), (lambda cols: descents_from_inverse(graph, cols))
+    level = {key(state): (state, {0: 1})}
+    for _letter in word:
+        below = {}
+        for state, counts in level.values():
+            for x in descents(state):
+                child = step(state, x)
+                into = below.setdefault(key(child), (child, {}))[1]
+                for forbid, c in counts.items():
+                    if not forbid >> x & 1:
+                        forbid = (forbid | (1 << x) - 1) & commute[x]
+                        into[forbid] = into.get(forbid, 0) + c
+        level = below
+    ((_state, counts),) = level.values()
+    return sum(counts.values())
 
 
 def brute_extension_words(poset):

@@ -458,6 +458,18 @@ def test_rank_past_the_cap_is_a_budget_error(tmp_path, capsys, rank, fmt):
     assert "Traceback" not in err
 
 
+def test_rank_at_the_cap_answers_without_a_traceback(tmp_path, capsys):
+    # every generator of an edgeless rank-1024 graph commutes with every
+    # other, but the word 1 has support {1}, so the class count's window
+    # is sized by one letter, not searched over 1024
+    graph = tmp_path / "edgeless.cox"
+    graph.write_text("generators: 1024\n")
+    argv = ["--graph", str(graph), "--word", "1"]
+    assert run(capsys, ["count-classes", *argv]) == (0, "1\n", "")
+    assert run(capsys, ["check", *argv]) == (
+        0, "reduced-count: PASS (1)\nclass-count: PASS (1)\nbound: PASS\n", "")
+
+
 def test_count_reduced_builds_no_posets(tmp_path, capsys, monkeypatch):
     # (1 2 3 4)^15 is H4's longest element, c^(h/2) for the Coxeter number
     # h = 30.  A regression pin of the descent fold's answer: no independent

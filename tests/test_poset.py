@@ -280,8 +280,13 @@ def test_count_linear_extensions_position_cap():
     assert count_linear_extensions(poset, max_positions=3) == 1
 
 
+def test_a_cyclic_predecessor_table_has_no_linear_extension():
+    # WordPoset checks bounds and irreflexivity, not acyclicity: here a < b < a
+    assert count_linear_extensions(WordPoset(("a", "b"), (0b10, 0b01))) == 0
+
+
 def test_count_does_not_depend_on_position_order():
-    # the count peels minimal elements off up-sets, so it must not lean on
+    # the count adds minimal elements to down-sets, so it must not lean on
     # positions following the word: permute them, or grow the poset by
     # adjoin_min so that positions run opposite to the word
     rng = random.Random(31)
