@@ -10,45 +10,18 @@ networks, and searches for the largest class count at a fixed word length.
 
 from .alphabet import CommutationAlphabet, parse_alphabet
 from .coxeter import (
-    INFINITY,
-    TOLERANCE,
-    CanonicalElement,
-    CoxeterGraph,
-    canonical_form,
-    element_of,
-    is_reduced,
-    left_descents,
-    multiply_left,
-    parse_graph,
-    shortest_non_reduced_prefix,
+    INFINITY, TOLERANCE, CanonicalElement, CoxeterGraph, canonical_form, element_of,
+    is_reduced, left_descents, multiply_left, parse_graph, shortest_non_reduced_prefix,
 )
 from .errors import BudgetError, GraphParseError, NotReducedError, SignToleranceError
-from .networks import (
-    SearchResult,
-    limit_lower_bound,
-    p_n,
-    p_sequence,
-    search_M,
-    w0_word,
-)
+from .networks import SearchResult, limit_lower_bound, p_n, p_sequence, search_M, w0_word
 from .poset import (
-    WordPoset,
-    adjoin_min,
-    build_word_poset,
-    canonical_word,
-    count_linear_extensions,
-    enumerate_linear_extensions,
-    validate,
+    WordPoset, adjoin_min, build_word_poset, canonical_word, count_linear_extensions,
+    enumerate_linear_extensions, validate,
 )
 from .reduced import (
-    ClassCounter,
-    WPSet,
-    bound_check,
-    count_classes,
-    count_reduced_words,
-    iter_elements,
-    oracle_reduced,
-    wp_set,
+    ClassCounter, WPSet, bound_check, count_classes, count_reduced_words, iter_elements,
+    oracle_reduced, wp_set,
 )
 from .trace import count_class, oracle_enumerate_class, same_class
 

@@ -50,16 +50,8 @@ from .alphabet import _read_directives
 from .errors import BudgetError, GraphParseError, NotReducedError, SignToleranceError
 
 __all__ = [
-    "INFINITY",
-    "TOLERANCE",
-    "CoxeterGraph",
-    "CanonicalElement",
-    "parse_graph",
-    "is_reduced",
-    "shortest_non_reduced_prefix",
-    "element_of",
-    "left_descents",
-    "canonical_form",
+    "INFINITY", "TOLERANCE", "CoxeterGraph", "CanonicalElement", "parse_graph", "is_reduced",
+    "shortest_non_reduced_prefix", "element_of", "left_descents", "canonical_form",
     "multiply_left",
 ]
 
@@ -117,7 +109,7 @@ def _state_ring(labels):
     b_d comes from psi(c) = 0, psi the minimal polynomial of c = b_1, read in
     that basis off Phi_2L(x) = x^d psi(x + 1/x); then b_(n+1) = c b_n - b_(n-1)
     up to n = L / 2, and b_(L-n) = -b_n."""
-    half = math.lcm(*{m for row in labels for m in row if m not in _EXACT_PAIRS})
+    half = math.lcm(*set().union(*labels).difference(_EXACT_PAIRS))
     if half > MAX_RING_LCM:
         raise BudgetError(f"labels have lcm {half}, state ring cap is {MAX_RING_LCM}")
     phi = _cyclotomic(2 * half)
@@ -133,10 +125,12 @@ def _state_ring(labels):
     rows = []
     for a, line in enumerate(labels):
         row = [(a * d + p, a * d + p, 2) for p in range(d)]
-        for j, m in enumerate(line):
+        for j, m in enumerate(line):  # a label 2 adds nothing
+            if m == 2:
+                continue
             if m in _EXACT_PAIRS:
                 c = _EXACT_PAIRS[m][a > j]
-                row += [(j * d + p, a * d + p, c) for p in range(d) if c]
+                row += [(j * d + p, a * d + p, c) for p in range(d)]
             elif m != 1:
                 row += [(j * d + p, a * d + q, c) for p, q, c in block(half // m)]
         rows.append(tuple(row))
@@ -160,10 +154,8 @@ class CoxeterGraph:
             raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
         if rank > MAX_RANK:
             raise BudgetError(f"graph has rank {rank}, rank cap is {MAX_RANK}")
-        self.rank = rank
-        labels = [[2] * rank for _ in range(rank)]
-        for i in range(rank):
-            labels[i][i] = 1
+        self.rank, pairs = rank, {}
+        labels = [[2] * i + [1] + [2] * (rank - 1 - i) for i in range(rank)]
         for edge in edges:
             try:
                 i, j, m = edge
@@ -177,12 +169,12 @@ class CoxeterGraph:
             if labels[i - 1][j - 1] not in (2, m):
                 raise GraphParseError(
                     f"edge {edge!r}: conflicting labels {labels[i - 1][j - 1]} and {m}")
-            labels[i - 1][j - 1] = labels[j - 1][i - 1] = m
+            labels[i - 1][j - 1] = labels[j - 1][i - 1] = pairs[min(i, j), max(i, j)] = m
+        self._edges = tuple(sorted((i, j, m) for (i, j), m in pairs.items()))
         self._labels = tuple(tuple(row) for row in labels)
-        self.commuting = tuple(frozenset(j + 1 for j in range(rank) if row[j] == 2)
+        self.commuting = tuple(frozenset([j for j, m in enumerate(row, 1) if m == 2])
                                for row in self._labels)
-        self.exact = all(self._labels[i][j] in _EXACT_PAIRS
-                         for i in range(rank) for j in range(i + 1, rank))
+        self.exact = set().union(*self._labels).issubset({1, *_EXACT_PAIRS})
         diag = 2 if self.exact else 2.0
         cartan = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
         for i in range(rank):
@@ -207,9 +199,7 @@ class CoxeterGraph:
 
     def edges(self):
         """Sorted (i, j, m) triples with i < j and m > 2."""
-        return [(i, j, self._labels[i - 1][j - 1])
-                for i in range(1, self.rank + 1) for j in range(i + 1, self.rank + 1)
-                if self._labels[i - 1][j - 1] != 2]
+        return list(self._edges)
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterGraph):
@@ -511,6 +501,15 @@ def _require_reduced(graph, word):
     return word, state
 
 
+def _reduced_state(graph, word):
+    """``word`` as a tuple of checked letters, with the state of its element:
+    scanned right to left, as the inverse of the reversed word; raises unless
+    it is reduced, naming its shortest prefix that is not (``_require_reduced``)."""
+    word = _check_word(graph, word)
+    _letters, state, suffix = _scan(graph, word[::-1])
+    return (word, state) if suffix is None else _require_reduced(graph, word)
+
+
 def element_of(graph, word):
     """The least reduced word of the element represented by an arbitrary word."""
     word = _check_word(graph, word)
@@ -520,21 +519,20 @@ def element_of(graph, word):
 def left_descents(graph, word) -> set:
     """D(w) = generators whose left multiple is shorter; empty only for the
     identity.  Requires a reduced word."""
-    word = _require_reduced(graph, word)[0]
-    return set(state_descents(graph, element_state(graph, word)))
+    return set(state_descents(graph, _reduced_state(graph, word)[1]))
 
 
 def multiply_left(graph, a, word):
     """Least reduced word of generator a times the element of reduced ``word``:
     one letter longer when a is not a left descent, one shorter when it is."""
     _check_word(graph, (a,))
-    word = _require_reduced(graph, word)[0]
-    return _least_word(graph, element_state(graph, (a,) + word), len(word) + 1)
+    word, state = _reduced_state(graph, word)
+    return _least_word(graph, step_state(graph, state, a), len(word) + 1)
 
 
 def canonical_form(graph, word) -> CanonicalElement:
     """Lexicographically least reduced word of the element of ``word``, read
     by ``_least_word``.  The result is a total invariant: two reduced words get
     the same canonical form iff they represent the same element."""
-    word = _require_reduced(graph, word)[0]
-    return CanonicalElement(_least_word(graph, element_state(graph, word), len(word)))
+    word, state = _reduced_state(graph, word)
+    return CanonicalElement(_least_word(graph, state, len(word)))

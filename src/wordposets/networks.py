@@ -30,14 +30,8 @@ from .errors import BudgetError
 from .reduced import _count_levels, count_classes
 
 __all__ = [
-    "DEFAULT_SEARCH_BUDGET",
-    "DEFAULT_SEARCH_LABELS",
-    "SearchResult",
-    "w0_word",
-    "p_n",
-    "p_sequence",
-    "limit_lower_bound",
-    "search_M",
+    "DEFAULT_SEARCH_BUDGET", "DEFAULT_SEARCH_LABELS", "SearchResult", "w0_word", "p_n",
+    "p_sequence", "limit_lower_bound", "search_M",
 ]
 
 DEFAULT_SEARCH_BUDGET = 50_000_000

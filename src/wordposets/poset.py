@@ -28,14 +28,8 @@ from .alphabet import CommutationAlphabet
 from .errors import BudgetError
 
 __all__ = [
-    "DEFAULT_MAX_POSITIONS",
-    "WordPoset",
-    "build_word_poset",
-    "validate",
-    "count_linear_extensions",
-    "enumerate_linear_extensions",
-    "canonical_word",
-    "adjoin_min",
+    "DEFAULT_MAX_POSITIONS", "WordPoset", "build_word_poset", "validate",
+    "count_linear_extensions", "enumerate_linear_extensions", "canonical_word", "adjoin_min",
 ]
 
 # Position sets are bit masks; 64 keeps them one machine word in spirit even

@@ -25,33 +25,18 @@ import functools
 import operator
 
 from .alphabet import CommutationAlphabet
-from .coxeter import (
-    CanonicalElement,
-    _Record,
-    element_state,
-    state_descents,
-    step_state,
-    _require_reduced,
-    # not called here; bound for bench/tracing.py's per-layer table
-    canonical_form, delete_left_descent, descents_from_inverse, inverse_columns,  # noqa: F401
-    matrix_key,  # noqa: F401
-)
+from .coxeter import CanonicalElement, _Record, _require_reduced, element_state, state_descents, step_state
+# not called here; bound for bench/tracing.py's per-layer table
+from .coxeter import canonical_form, delete_left_descent, descents_from_inverse  # noqa: F401
+from .coxeter import inverse_columns, matrix_key  # noqa: F401
 from .errors import BudgetError, SignToleranceError
 from .poset import DEFAULT_MAX_POSITIONS, build_word_poset
 from .poset import adjoin_min, canonical_word, count_linear_extensions  # noqa: F401  # bound for bench/tracing.py
 from .trace import _closure
 
 __all__ = [
-    "DEFAULT_MEMO_CAP",
-    "DEFAULT_MAX_REDUCED_WORDS",
-    "WPSet",
-    "ClassCounter",
-    "wp_set",
-    "least_words",
-    "count_reduced_words",
-    "count_classes",
-    "oracle_reduced",
-    "bound_check",
+    "DEFAULT_MEMO_CAP", "DEFAULT_MAX_REDUCED_WORDS", "WPSet", "ClassCounter", "wp_set",
+    "least_words", "count_reduced_words", "count_classes", "oracle_reduced", "bound_check",
     "iter_elements",
 ]
 
@@ -59,6 +44,7 @@ DEFAULT_MEMO_CAP = 1_000_000
 DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
 # a descent tuple, held once, with the bit set of its letters
 _kinds = functools.lru_cache(maxsize=1 << 12)(lambda ds: (ds, sum(1 << a for a in ds)))
+_FLIPS = {}  # (rank, edges) -> _involutions of the graph
 
 
 class WPSet(_Record):
@@ -95,11 +81,14 @@ def _independent_subsets(graph, descents):
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _involutions(graph):
     """State maps u -> sigma(u), block-wise coordinate permutations, of the
     involutions sigma != id of the generators that keep every label and carry
-    ``state_rows[a]`` onto row sigma(a), as far as 256 search pairings reach."""
+    ``state_rows[a]`` onto row sigma(a), as far as 256 search pairings reach.
+    Equal graphs share one search, kept for the last 64 by rank and edges, so
+    that no graph is kept alive for it."""
+    if (known := _FLIPS.get(key := (graph.rank, graph._edges))) is not None:
+        return known
     n, d, m, rows = graph.rank, graph.state_degree, graph._labels, graph.state_rows
     sigma, budget, found, kinds = [None] * n, 256, [], [sorted(row) for row in m]
 
@@ -122,7 +111,10 @@ def _involutions(graph):
                 search(i + 1)
                 sigma[i] = sigma[j] = None
     search(0)
-    return tuple(found)
+    if len(_FLIPS) >= 64:
+        del _FLIPS[next(iter(_FLIPS))]
+    _FLIPS[key] = found = tuple(found)
+    return found
 
 
 def _sigma(graph, flip):
@@ -166,37 +158,72 @@ def _count_levels(graph, memo_cap=None, **growth):
     """Each level of ``_levels(graph, **growth)`` with the class counts of
     its elements by id, C(u) = sum over T of (-1)^(len(T)+1) * C(Tu).
 
-    T runs over the pairwise-commuting subsets of u's left descents, listed
-    once per descent tuple as ``_independent_subsets`` steps; Tu is reached
-    from T'u (T less its last letter a) through the link codes, never by a
-    generator step: with T'u's code 2*id + f, Tu's is the link of the
-    element id under sigma^f(a), xor f.  Counts are kept for as many levels
-    below as the most pairwise-commuting letters of the word's support J
-    (all generators on the whole group), as [e, w] lies in W_J.
+    T runs over the pairwise-commuting subsets of u's left descents, planned
+    by size once per descent tuple (``_by_size``).  Tu is reached through the
+    link codes, never by a generator step: T = {a} reads a*u's code straight
+    off u's link slot for a; else, with T'u's code 2*id + f (T' = T less its
+    last letter a), Tu's is the link of the element id under sigma^f(a), xor
+    f, so a pair goes two levels down through its first letter's code with
+    the sign -1, and only T of 3 or more letters keep a sign and a level per
+    step.  Counts are kept for as many levels below as the most
+    pairwise-commuting letters of the word's support J (all generators on
+    the whole group), as [e, w] lies in W_J.
     """
     support, m = set(growth.get("word", graph.generators)), graph.rank + 1
-    steps, depth = _count_plan(tuple(c & support if a in support else frozenset()
+    plans, depth = _count_plan(tuple(c & support if a in support else frozenset()
                                      for a, c in enumerate(graph.commuting, 1)))
 
     def count(trail, counts, swap):
-        links, out, plan = trail[-1], [], steps.get
+        links, below, out = trail[-1], counts[-1], []
+        links2, below2 = (trail[-2], counts[-2]) if len(counts) > 1 else (None, None)
         for b in range(0, len(links), m):
-            ds, codes, c = links[b], [b // m * 2], 0
-            for j, a, d, sign in plan(ds) or steps.setdefault(ds, _independent_subsets(graph, ds)):
-                f = codes[j] & 1
-                code = trail[d][(codes[j] >> 1) * m + swap[f][a]] ^ f
-                c += sign * counts[d][code >> 1]
-                codes.append(code)
+            ds, c, codes = links[b], 0, []
+            pairs, more = plans.get(ds) or plans.setdefault(ds, _by_size(graph, ds))
+            for a, seconds in pairs:  # T = {a}, then each {a, x}, x > a, through a's code
+                c += below[(code := links[b + a]) >> 1]
+                if not seconds:
+                    continue
+                f = code & 1
+                row, turn = (code >> 1) * m, swap[f]
+                for x in seconds:
+                    code = links2[row + turn[x]]
+                    c -= below2[code >> 1]
+                    codes.append(code ^ f)
+            for d, sign, steps in more:  # T of 3 or more letters, by size
+                level, held = trail[d], counts[d]
+                for j, a in steps:
+                    f = codes[j] & 1
+                    code = level[(codes[j] >> 1) * m + swap[f][a]] ^ f
+                    c += sign * held[code >> 1]
+                    codes.append(code)
             out.append(c)
         return out
     return _fold(graph, count, 1, depth, memo_cap, "class-count", **growth)
 
 
+def _by_size(graph, descents):
+    """The ``_independent_subsets`` of ``descents`` by size: for each letter
+    a, the x > a of the pairs {a, x}; then for each size k > 2, (-k, the sign
+    (-1)^(k+1), steps (j, a)), j indexing T less its last letter a among the
+    pairs and larger subsets, listed in this order."""
+    sets = [()]
+    for j, a, _d, _sign in _independent_subsets(graph, descents):
+        sets.append(sets[j] + (a,))
+    order = sorted((t for t in sets if len(t) > 1), key=lambda t: (len(t), t))
+    at = {t: i for i, t in enumerate(order)}.get
+    return (tuple((a, tuple(t[1] for t in order if t[0] == a and len(t) == 2)) for a in descents),
+            tuple((-k, k % 2 * 2 - 1, tuple((at(t[:-1]), t[-1]) for t in order if len(t) == k))
+                  for k in range(3, max(map(len, sets)) + 1)))
+
+
 @functools.lru_cache(maxsize=64)
 def _count_plan(commuting):
-    """Subset steps by descent tuple, shared by graphs with these ``commuting``
-    sets, and the window's depth: the most generators that pairwise commute,
-    by a branch and bound."""
+    """Subset steps by descent tuple (``_by_size``), shared by graphs with
+    these ``commuting`` sets, and the window's depth: the most generators that
+    pairwise commute.  A generator that fights (does not commute with) at most
+    one other still in play lies in some widest set, so each such one is
+    taken and its rival struck, until none is left; a branch and bound
+    searches the rest."""
 
     def widest(rest, size, best):  # ``size`` letters chosen, more from ``rest``
         for i, a in enumerate(rest):
@@ -207,7 +234,10 @@ def _count_plan(commuting):
             if len(rest) - i - len(keep) <= 2:  # a fights at most one later letter b,
                 break  # so a set without a is no wider than with a in b's place
         return max(best, size)
-    return {}, widest(list(range(1, len(commuting) + 1)), 0, 0)
+    left, taken = set(range(1, len(commuting) + 1)), 0
+    while leaf := next((a for a in left if len(left - commuting[a - 1]) < 3), 0):  # a, a rival
+        left, taken = left & commuting[leaf - 1], taken + 1
+    return {}, taken + widest(sorted(left), 0, 0)
 
 
 class ClassCounter:

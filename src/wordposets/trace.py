@@ -17,12 +17,7 @@ from .alphabet import CommutationAlphabet
 from .errors import BudgetError
 from .poset import build_word_poset, canonical_word, count_linear_extensions
 
-__all__ = [
-    "DEFAULT_MAX_CLASS_SIZE",
-    "count_class",
-    "same_class",
-    "oracle_enumerate_class",
-]
+__all__ = ["DEFAULT_MAX_CLASS_SIZE", "count_class", "same_class", "oracle_enumerate_class"]
 
 DEFAULT_MAX_CLASS_SIZE = 10 ** 6
 
