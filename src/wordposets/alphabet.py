@@ -78,7 +78,8 @@ class CommutationAlphabet:
     @classmethod
     def from_coxeter(cls, graph) -> "CommutationAlphabet":
         """Generator indices 1..rank; i and j commute iff their edge label is 2."""
-        pairs = [(i, j) for i in graph.generators for j in graph.commuting[i - 1] if i < j]
+        pairs = [(i, j) for i, c in enumerate(graph.commuting, 1)
+                 for j in range(i + 1, graph.rank + 1) if c >> j & 1]
         return cls(tuple(graph.generators), pairs)
 
 

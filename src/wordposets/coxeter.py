@@ -24,7 +24,8 @@ and the sign answers length questions:
 For labels within {2, 3, 4, 6, infinity} the matrix A can be chosen with
 integer entries, so all of this is exact integer arithmetic.  Other finite
 labels use floats -2 cos(pi/m) and a sign tolerance.  This column calculus
-is the tests' reference only; no engine reads it.
+is the tests' reference only: no engine reads it, and its matrix
+(``CoxeterGraph.cartan``) is built only when they read it.
 
 Every engine steps an element w as a *state* (``*_state`` helpers): the
 numbers-game vector y_j = <w^{-1} alpha_j, rho>, the coordinate sum of column
@@ -64,7 +65,7 @@ TOLERANCE = 1e-9
 _EXACT_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INFINITY: (-2, -2)}
 # Largest lcm of the other labels that the state ring takes: all labels <= 10.
 MAX_RING_LCM = 2520
-MAX_RANK = 1024  # largest rank: the label and Cartan matrices hold rank^2 entries
+MAX_RANK = 1024  # largest rank: the label matrix holds rank^2 entries
 
 
 def _cartan_pair(m, exact):
@@ -100,16 +101,16 @@ def _cyclotomic(n):
     return tuple(p)
 
 
-def _state_ring(labels):
+def _state_ring(graph):
     """(d, basis values, psi, rows) for the numbers-game state: rows[a] lists
     the (i, k, c) of ``y[i] -= c * state[k]`` taking w to s_a w.  (i, i, 2)
-    negates y_a; the rest subtract A[a][j] y_a from each neighbour y_j, A[a][j]
-    an exact label's integer entry or -b_e for e = L / m, as the d x d block of
+    negates y_a; each edge {a, j} subtracts A[a][j] y_a from y_j, A[a][j] an
+    exact label's integer entry or -b_e for e = L / m, as the d x d block of
     the product by b_e in the basis b_0 = 1, b_k = 2cos(k pi / L) for 0 < k < d.
     b_d comes from psi(c) = 0, psi the minimal polynomial of c = b_1, read in
     that basis off Phi_2L(x) = x^d psi(x + 1/x); then b_(n+1) = c b_n - b_(n-1)
-    up to n = L / 2, and b_(L-n) = -b_n."""
-    half = math.lcm(*set().union(*labels).difference(_EXACT_PAIRS))
+    up to n = L / 2, and b_(L-n) = -b_n.  Each row lists its j ascending."""
+    half = math.lcm(*{m for _i, _j, m in graph._edges}.difference(_EXACT_PAIRS))
     if half > MAX_RING_LCM:
         raise BudgetError(f"labels have lcm {half}, state ring cap is {MAX_RING_LCM}")
     phi = _cyclotomic(2 * half)
@@ -122,20 +123,14 @@ def _state_ring(labels):
     cos2 = lambda n: b[n] if 2 * n <= half else [-x for x in b[half - n]]  # 0 <= n < L
     block = functools.cache(lambda e: [(p, q, -x) for q in range(d) for p, x in enumerate(
         cos2(e) if q == 0 else [u + v for u, v in zip(cos2(e + q), cos2(abs(e - q)))]) if x])
-    rows = []
-    for a, line in enumerate(labels):
-        row = [(a * d + p, a * d + p, 2) for p in range(d)]
-        for j, m in enumerate(line):  # a label 2 adds nothing
-            if m == 2:
-                continue
-            if m in _EXACT_PAIRS:
-                c = _EXACT_PAIRS[m][a > j]
-                row += [(j * d + p, a * d + p, c) for p in range(d)]
-            elif m != 1:
-                row += [(j * d + p, a * d + q, c) for p, q, c in block(half // m)]
-        rows.append(tuple(row))
+    rows = [[(a * d + p, a * d + p, 2) for p in range(d)] for a in range(graph.rank)]
+    for i, j, m in graph._edges:  # sorted, so each row gets its j ascending
+        for a, k in ((i - 1, j - 1), (j - 1, i - 1)):
+            entries = [(p, p, _EXACT_PAIRS[m][a > k]) for p in range(d)] if m in _EXACT_PAIRS \
+                else block(half // m)
+            rows[a] += [(k * d + p, a * d + q, c) for p, q, c in entries]
     basis = (1.0,) + tuple(2 * math.cos(k * math.pi / half) for k in range(1, d))
-    return d, basis, phi[d:], tuple(rows)
+    return d, basis, phi[d:], tuple(map(tuple, rows))
 
 
 class CoxeterGraph:
@@ -144,9 +139,9 @@ class CoxeterGraph:
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  A bad rank or edge raises GraphParseError,
     which names the edge as given; a rank past MAX_RANK raises BudgetError.
-    The Cartan-style matrix serves the reflection action of the tests'
-    column calculus, ``_state_ring``'s tables the engines;
-    ``commuting[i - 1]`` holds the generators commuting with i.
+    ``commuting[i - 1]``, the bit set (bit j for generator j) of those that
+    commute with i, and ``_state_ring``'s engine tables are built from the
+    edges; ``cartan``, the tests' column calculus matrix, on first read.
     """
 
     def __init__(self, rank, edges=()):
@@ -154,7 +149,7 @@ class CoxeterGraph:
             raise GraphParseError(f"rank must be a positive integer, got {rank!r}")
         if rank > MAX_RANK:
             raise BudgetError(f"graph has rank {rank}, rank cap is {MAX_RANK}")
-        self.rank, pairs = rank, {}
+        self.rank, pairs, fights = rank, {}, [1 << a for a in range(rank + 1)]  # a and its foes
         labels = [[2] * i + [1] + [2] * (rank - 1 - i) for i in range(rank)]
         for edge in edges:
             try:
@@ -170,19 +165,21 @@ class CoxeterGraph:
                 raise GraphParseError(
                     f"edge {edge!r}: conflicting labels {labels[i - 1][j - 1]} and {m}")
             labels[i - 1][j - 1] = labels[j - 1][i - 1] = pairs[min(i, j), max(i, j)] = m
+            fights[i], fights[j] = fights[i] | 1 << j, fights[j] | 1 << i
         self._edges = tuple(sorted((i, j, m) for (i, j), m in pairs.items()))
         self._labels = tuple(tuple(row) for row in labels)
-        self.commuting = tuple(frozenset([j for j, m in enumerate(row, 1) if m == 2])
-                               for row in self._labels)
-        self.exact = set().union(*self._labels).issubset({1, *_EXACT_PAIRS})
+        self.commuting = tuple((1 << rank + 1) - 2 & ~f for f in fights[1:])
+        self.state_degree, self.state_basis, self.state_psi, self.state_rows = _state_ring(self)
+        self.exact = self.state_degree == 1  # every label is 2, 3, 4, 6 or INFINITY
+
+    @functools.cached_property
+    def cartan(self):
         diag = 2 if self.exact else 2.0
-        cartan = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                cartan[i][j], cartan[j][i] = _cartan_pair(self._labels[i][j], self.exact)
-        self.cartan = tuple(tuple(row) for row in cartan)
-        self.state_degree, self.state_basis, self.state_psi, self.state_rows = \
-            _state_ring(self._labels)
+        cartan = [[diag if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
+        for i, row in enumerate(self._labels):
+            for j in range(i + 1, self.rank):
+                cartan[i][j], cartan[j][i] = _cartan_pair(row[j], self.exact)
+        return tuple(tuple(row) for row in cartan)
 
     @property
     def generators(self):

@@ -22,6 +22,7 @@ theorem: its ratio at the longest element of S_n rises with n (0.61 at 12).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .alphabet import CommutationAlphabet
@@ -67,17 +68,18 @@ class WPSet(_Record):
 def _independent_subsets(graph, descents):
     """Nonempty pairwise-commuting subsets T of ``descents`` as the steps
     (index of T less its last member, 0 for none; last member; -len(T);
-    sign (-1)^(len(T)+1)), indexed from 1, each after the one it extends."""
-    commuting = graph.commuting
-    out = []
-    stack = [(0, 0, sorted(descents))]
-    while stack:
-        parent, size, candidates = stack.pop()
-        for i, a in enumerate(candidates):
-            out.append((parent, a, -size - 1, 1 - size % 2 * 2))
-            rest = [b for b in candidates[i + 1:] if b in commuting[a - 1]]
-            if rest:
-                stack.append((len(out), size + 1, rest))
+    sign (-1)^(len(T)+1)), indexed from 1, by size, then in lex order."""
+    commuting, out, size = graph.commuting, [], 0
+    level = [(0, sum(1 << a for a in descents))]  # each T's index, the letters that extend it
+    while level:
+        size, grown = size + 1, []
+        for j, free in level:
+            while free:
+                a = (free & -free).bit_length() - 1
+                free ^= 1 << a
+                out.append((j, a, -size, size % 2 * 2 - 1))
+                grown.append((len(out), free & commuting[a - 1]))
+        level = grown
     return out
 
 
@@ -169,8 +171,8 @@ def _count_levels(graph, memo_cap=None, **growth):
     pairwise-commuting letters of the word's support J (all generators on
     the whole group), as [e, w] lies in W_J.
     """
-    support, m = set(growth.get("word", graph.generators)), graph.rank + 1
-    plans, depth = _count_plan(tuple(c & support if a in support else frozenset()
+    support, m = sum(1 << a for a in set(growth.get("word", graph.generators))), graph.rank + 1
+    plans, depth = _count_plan(tuple(c & support if support >> a & 1 else 0
                                      for a, c in enumerate(graph.commuting, 1)))
 
     def count(trail, counts, swap):
@@ -202,42 +204,43 @@ def _count_levels(graph, memo_cap=None, **growth):
 
 
 def _by_size(graph, descents):
-    """The ``_independent_subsets`` of ``descents`` by size: for each letter
-    a, the x > a of the pairs {a, x}; then for each size k > 2, (-k, the sign
-    (-1)^(k+1), steps (j, a)), j indexing T less its last letter a among the
-    pairs and larger subsets, listed in this order."""
-    sets = [()]
-    for j, a, _d, _sign in _independent_subsets(graph, descents):
-        sets.append(sets[j] + (a,))
-    order = sorted((t for t in sets if len(t) > 1), key=lambda t: (len(t), t))
-    at = {t: i for i, t in enumerate(order)}.get
-    return (tuple((a, tuple(t[1] for t in order if t[0] == a and len(t) == 2)) for a in descents),
-            tuple((-k, k % 2 * 2 - 1, tuple((at(t[:-1]), t[-1]) for t in order if len(t) == k))
-                  for k in range(3, max(map(len, sets)) + 1)))
+    """The ``_independent_subsets`` of ``descents`` grouped by size: for each
+    letter a, the x > a of the pairs {a, x}; then for each size k > 2, (-k,
+    the sign (-1)^(k+1), steps (j, a)), j indexing T less its last letter a
+    among the pairs and larger subsets, listed in this order."""
+    subsets, n = _independent_subsets(graph, descents), len(descents)
+    sizes = {d: tuple(group) for d, group in itertools.groupby(subsets[n:], operator.itemgetter(2))}
+    return (tuple((a, tuple(x for j, x, _d, _s in sizes.get(-2, ()) if subsets[j - 1][1] == a))
+                  for a in descents),
+            tuple((d, d % 2 * 2 - 1, tuple((j - 1 - n, a) for j, a, _d, _s in group))
+                  for d, group in sizes.items() if d < -2))
 
 
 @functools.lru_cache(maxsize=64)
 def _count_plan(commuting):
     """Subset steps by descent tuple (``_by_size``), shared by graphs with
-    these ``commuting`` sets, and the window's depth: the most generators that
-    pairwise commute.  A generator that fights (does not commute with) at most
-    one other still in play lies in some widest set, so each such one is
-    taken and its rival struck, until none is left; a branch and bound
+    these ``commuting`` bit sets, and the window's depth: the most generators
+    that pairwise commute.  A generator that fights (does not commute with)
+    at most one other still in play lies in some widest set, so each such one
+    is taken and its rival struck, until none is left; a branch and bound
     searches the rest."""
 
-    def widest(rest, size, best):  # ``size`` letters chosen, more from ``rest``
-        for i, a in enumerate(rest):
-            if size + len(rest) - i <= best:
-                break
-            keep = [b for b in rest[i + 1:] if b in commuting[a - 1]]
+    def widest(rest, size, best):  # ``size`` letters chosen, more from bit set ``rest``
+        while rest and size + rest.bit_count() > best:
+            rest ^= (bit := rest & -rest)  # bit 1 << a: letter a
+            keep = rest & commuting[bit.bit_length() - 2]
             best = widest(keep, size + 1, best)
-            if len(rest) - i - len(keep) <= 2:  # a fights at most one later letter b,
+            if (rest ^ keep).bit_count() <= 1:  # a fights at most one later letter b,
                 break  # so a set without a is no wider than with a in b's place
         return max(best, size)
-    left, taken = set(range(1, len(commuting) + 1)), 0
-    while leaf := next((a for a in left if len(left - commuting[a - 1]) < 3), 0):  # a, a rival
-        left, taken = left & commuting[leaf - 1], taken + 1
-    return {}, taken + widest(sorted(left), 0, 0)
+    left = todo = (1 << len(commuting) + 1) - 2  # bit sets: in play, to look at
+    taken = 0
+    while todo:
+        todo ^= (bit := todo & -todo)
+        if left & bit and (foes := left & ~commuting[bit.bit_length() - 2] ^ bit).bit_count() < 2:
+            left, taken = left & commuting[bit.bit_length() - 2], taken + 1
+            todo |= foes and left & ~commuting[foes.bit_length() - 2]  # the rival's, still in play
+    return {}, taken + widest(left, 0, 0)
 
 
 class ClassCounter:
@@ -289,13 +292,12 @@ def least_words(graph, word, *, memo_cap: int | None = None) -> list:
     word, top = _require_reduced(graph, word)
     if len(word) > DEFAULT_MAX_POSITIONS:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
-    commute = {a: sum(1 << b for b in graph.commuting[a - 1]) for a in graph.generators}
-    below, m = {a: c & (1 << a) - 1 for a, c in commute.items()}, graph.rank + 1
+    commuting, m = graph.commuting, graph.rank + 1
 
     def prepend(trail, window, _swap):
         links, words = trail[-1], window[-1]
-        return [[((a,) + v, 1 << a | mins & commute[a]) for a in links[b]
-                 for v, mins in words[links[b + a] >> 1] if not mins & below[a]]
+        return [[((a,) + v, 1 << a | kept) for a in links[b] for v, mins in words[links[b + a] >> 1]
+                 if not (kept := mins & commuting[a - 1]) & (1 << a) - 1]
                 for b in range(0, len(links), m)]
     levels = _fold(graph, prepend, [((), 0)], 1, memo_cap, "word-poset", word=word, top=top)
     return sorted(v for v, _mins in _top(levels))

@@ -1,17 +1,20 @@
 """The class count's subset plan by size, the window's leaf reduction, and
-graph costs that scale with the edges: state rows, involutions held by the
-graph, and element queries that step their word once."""
+graph costs that scale with the edges: commuting bit sets, state rows, a
+Cartan matrix built only when read, involutions held by the graph, and
+element queries that step their word once."""
 
 import gc
 import itertools
+import math
 import random
 import time
 import weakref
 
 import pytest
 
-from oracles import least_word_class_count
+from oracles import least_word_class_count, random_coxeter_graph
 from wordposets import (
+    CommutationAlphabet,
     CoxeterGraph,
     NotReducedError,
     canonical_form,
@@ -19,6 +22,7 @@ from wordposets import (
     iter_elements,
     left_descents,
     multiply_left,
+    search_M,
     w0_word,
 )
 from wordposets import coxeter, reduced
@@ -139,3 +143,63 @@ def test_unreduced_words_name_the_shortest_prefix():
             query(S6, (1, 2, 2, 1))
         with pytest.raises(NotReducedError, match=r"offending prefix \[3, 1, 3\]$"):
             query(S6, (3, 1, 3, 2))
+
+
+def test_window_of_a_shuffled_rank_1024_path_is_planned_in_linear_time():
+    # a struck rival's other foes are looked at again, not every generator:
+    # 1024 generators in a seeded shuffled order have 512 pairwise commuting
+    order = list(range(1, 1025))
+    random.Random(0).shuffle(order)
+    graph = CoxeterGraph(1024, [(a, b, 3) for a, b in zip(order, order[1:])])
+    start = time.perf_counter()
+    assert reduced._count_plan(graph.commuting)[1] == 512
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("rank, edges, word, max_length", [
+    (4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)], w0_word(5), None),
+    (3, [(1, 2, 5), (2, 3, 3)], (1, 2, 3) * 5, None),
+    (4, [(1, 2, 5), (2, 3, 3), (3, 4, 3)], (1, 2, 3, 4) * 2, 4),
+    (3, [(1, 2, 5), (2, 3, float("inf"))], (1, 2, 1, 3, 2, 3), 4),
+    (1024, [(1, 2, 3), (2, 3, 4)], (1, 2, 1, 3), 1)], ids=["A4", "H3", "H4", "5-inf", "rank-1024"])
+def test_no_engine_builds_the_cartan_matrix(rank, edges, word, max_length, monkeypatch):
+    # the Cartan matrix serves only the tests' column calculus: no counter,
+    # fold, oracle, growth or search reads it, so none builds it
+    graph, built, cartan_pair = CoxeterGraph(rank, edges), [], coxeter._cartan_pair
+    monkeypatch.setattr(coxeter, "_cartan_pair", lambda *args: built.append(args) or cartan_pair(*args))
+    count_classes(graph, word)
+    reduced.least_words(graph, word)
+    reduced.wp_set(graph, word)
+    reduced.count_reduced_words(graph, word)
+    reduced.oracle_reduced(graph, word)
+    list(iter_elements(graph, max_length))
+    search_M(4)
+    assert "cartan" not in vars(graph) and not built
+    monkeypatch.undo()
+    # built on first read, every pair through _cartan_pair as before, so a
+    # float graph keeps -2cos(pi/2), not 0, on its label-2 pair {1, 3}
+    cartan, gens = graph.cartan, graph.generators
+    assert all(cartan[a - 1][a - 1] == 2 for a in gens)
+    assert all((cartan[a - 1][b - 1], cartan[b - 1][a - 1]) == coxeter._cartan_pair(graph.label(a, b), graph.exact)
+               for a in gens for b in gens if a < b)
+    assert graph.exact or cartan[0][2] == -2 * math.cos(math.pi / 2) != 0
+
+
+@pytest.mark.parametrize("graphs", ["random", "rank-1024"])
+def test_commuting_bit_sets_agree_with_the_labels(graphs):
+    # bit b of commuting[a - 1] says whether a and b commute; the alphabet
+    # reads the bit sets, and exact says every label is 2, 3, 4, 6 or inf
+    if graphs == "random":
+        rng, labels = random.Random(27), (2, 2, 3, 4, 5, 6, 8, 10, float("inf"))
+        drawn = [random_coxeter_graph(rng, 5, labels) for _ in range(100)]
+        drawn += [random_coxeter_graph(rng) for _ in range(100)]
+    else:
+        drawn = [CoxeterGraph(1024), CoxeterGraph.type_a(1024)]
+    for graph in drawn:
+        gens = graph.generators
+        commutes = [[graph.commutes(a, b) for b in gens] for a in gens]
+        assert [[c >> b & 1 == 1 for b in gens] for c in graph.commuting] == commutes
+        assert CommutationAlphabet.from_coxeter(graph) == CommutationAlphabet(
+            gens, [(a, b) for a in gens for b in gens if a < b and commutes[a - 1][b - 1]])
+        assert graph.exact == {graph.label(a, b) for a in gens for b in gens if a != b}.issubset(
+            {2, 3, 4, 6, float("inf")})
