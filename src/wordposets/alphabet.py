@@ -22,8 +22,8 @@ class CommutationAlphabet:
 
     A symbol never commutes with itself: two occurrences of the same letter
     are never interchangeable, which is what makes equal-letter occurrences
-    totally ordered inside a word poset.  ``commuting[s]`` is the frozenset
-    of symbols that commute with s.
+    totally ordered inside a word poset.  ``commuting[i]`` is the bit set of
+    the symbols that commute with ``symbols[i]``: bit j for ``symbols[j]``.
     """
 
     def __init__(self, symbols, commuting_pairs=()):
@@ -31,16 +31,16 @@ class CommutationAlphabet:
         if len(set(symbols)) != len(symbols):
             raise GraphParseError("duplicate symbols in alphabet")
         self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
-        commuting = {s: set() for s in symbols}
+        self._index = index = {s: i for i, s in enumerate(symbols)}
+        commuting = [0] * len(symbols)
         for a, b in commuting_pairs:
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise GraphParseError(f"commuting pair ({a!r}, {b!r}) uses unknown symbol")
             if a == b:
                 raise GraphParseError(f"symbol {a!r} declared to commute with itself")
-            commuting[a].add(b)
-            commuting[b].add(a)
-        self.commuting = {s: frozenset(ts) for s, ts in commuting.items()}
+            commuting[index[a]] |= 1 << index[b]
+            commuting[index[b]] |= 1 << index[a]
+        self.commuting = tuple(commuting)
 
     def __contains__(self, symbol):
         return symbol in self._index
@@ -57,7 +57,7 @@ class CommutationAlphabet:
         return self.symbols == other.symbols and self.commuting == other.commuting
 
     def __hash__(self):
-        return hash((self.symbols, tuple(self.commuting.values())))
+        return hash((self.symbols, self.commuting))
 
     def index(self, symbol):
         """Rank of a symbol in the alphabet order."""
@@ -68,19 +68,19 @@ class CommutationAlphabet:
 
     def commutes(self, a, b) -> bool:
         """True iff a and b are distinct commuting symbols."""
-        return self.index(a) != self.index(b) and b in self.commuting[a]
+        return self.commuting[self.index(a)] >> self.index(b) & 1 == 1
 
     def pairs(self):
         """The commuting pairs as symbol tuples."""
-        return [(s, t) for i, s in enumerate(self.symbols)
-                for t in self.symbols[i + 1:] if t in self.commuting[s]]
+        return [(s, self.symbols[j]) for i, s in enumerate(self.symbols)
+                for j in range(i + 1, len(self)) if self.commuting[i] >> j & 1]
 
     @classmethod
     def from_coxeter(cls, graph) -> "CommutationAlphabet":
         """Generator indices 1..rank; i and j commute iff their edge label is 2."""
-        pairs = [(i, j) for i, c in enumerate(graph.commuting, 1)
-                 for j in range(i + 1, graph.rank + 1) if c >> j & 1]
-        return cls(tuple(graph.generators), pairs)
+        alphabet = cls(graph.generators)
+        alphabet.commuting = tuple(c >> 1 for c in graph.commuting)  # bit j - 1 for generator j
+        return alphabet
 
 
 def _read_directives(text, head, usage, early):

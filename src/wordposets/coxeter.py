@@ -65,7 +65,7 @@ TOLERANCE = 1e-9
 _EXACT_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INFINITY: (-2, -2)}
 # Largest lcm of the other labels that the state ring takes: all labels <= 10.
 MAX_RING_LCM = 2520
-MAX_RANK = 1024  # largest rank: the label matrix holds rank^2 entries
+MAX_RANK = 1024  # largest rank: each generator step copies a state of rank * state_degree integers
 
 
 def _cartan_pair(m, exact):
@@ -139,9 +139,11 @@ class CoxeterGraph:
     ``edges`` lists (i, j, m) with m an integer >= 3 or INFINITY; unlisted
     pairs get m = 2 (commuting).  A bad rank or edge raises GraphParseError,
     which names the edge as given; a rank past MAX_RANK raises BudgetError.
-    ``commuting[i - 1]``, the bit set (bit j for generator j) of those that
-    commute with i, and ``_state_ring``'s engine tables are built from the
-    edges; ``cartan``, the tests' column calculus matrix, on first read.
+    No rank x rank table is held: the labels above 2 by (i, j) in both
+    orders, ``commuting[i - 1]``, the bit set (bit j for generator j) of
+    those that commute with i, and ``_state_ring``'s engine tables are built
+    from the edges; ``cartan``, the tests' column calculus matrix, on first
+    read.
     """
 
     def __init__(self, rank, edges=()):
@@ -150,7 +152,6 @@ class CoxeterGraph:
         if rank > MAX_RANK:
             raise BudgetError(f"graph has rank {rank}, rank cap is {MAX_RANK}")
         self.rank, pairs, fights = rank, {}, [1 << a for a in range(rank + 1)]  # a and its foes
-        labels = [[2] * i + [1] + [2] * (rank - 1 - i) for i in range(rank)]
         for edge in edges:
             try:
                 i, j, m = edge
@@ -161,13 +162,11 @@ class CoxeterGraph:
                 raise GraphParseError(f"edge {edge!r}: endpoints must be distinct integers in 1..{rank}")
             if m != INFINITY and (not isinstance(m, int) or m < 3):
                 raise GraphParseError(f"edge {edge!r}: label must be an integer >= 3 or inf")
-            if labels[i - 1][j - 1] not in (2, m):
-                raise GraphParseError(
-                    f"edge {edge!r}: conflicting labels {labels[i - 1][j - 1]} and {m}")
-            labels[i - 1][j - 1] = labels[j - 1][i - 1] = pairs[min(i, j), max(i, j)] = m
+            if pairs.get((i, j), m) != m:
+                raise GraphParseError(f"edge {edge!r}: conflicting labels {pairs[i, j]} and {m}")
+            pairs[i, j] = pairs[j, i] = m
             fights[i], fights[j] = fights[i] | 1 << j, fights[j] | 1 << i
-        self._edges = tuple(sorted((i, j, m) for (i, j), m in pairs.items()))
-        self._labels = tuple(tuple(row) for row in labels)
+        self._pairs, self._edges = pairs, tuple(sorted((i, j, m) for (i, j), m in pairs.items() if i < j))
         self.commuting = tuple((1 << rank + 1) - 2 & ~f for f in fights[1:])
         self.state_degree, self.state_basis, self.state_psi, self.state_rows = _state_ring(self)
         self.exact = self.state_degree == 1  # every label is 2, 3, 4, 6 or INFINITY
@@ -176,9 +175,9 @@ class CoxeterGraph:
     def cartan(self):
         diag = 2 if self.exact else 2.0
         cartan = [[diag if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
-        for i, row in enumerate(self._labels):
+        for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                cartan[i][j], cartan[j][i] = _cartan_pair(row[j], self.exact)
+                cartan[i][j], cartan[j][i] = _cartan_pair(self.label(i + 1, j + 1), self.exact)
         return tuple(tuple(row) for row in cartan)
 
     @property
@@ -189,7 +188,7 @@ class CoxeterGraph:
         """m(i, j) for 1-based generators; m(i, i) = 1."""
         if not (1 <= i <= self.rank and 1 <= j <= self.rank):
             raise ValueError(f"generator pair ({i}, {j}) out of range")
-        return self._labels[i - 1][j - 1]
+        return 1 if i == j else self._pairs.get((i, j), 2)
 
     def commutes(self, i, j) -> bool:
         return i != j and self.label(i, j) == 2
@@ -201,10 +200,10 @@ class CoxeterGraph:
     def __eq__(self, other):
         if not isinstance(other, CoxeterGraph):
             return NotImplemented
-        return self._labels == other._labels
+        return (self.rank, self._edges) == (other.rank, other._edges)
 
     def __hash__(self):
-        return hash(self._labels)
+        return hash((self.rank, self._edges))
 
     def __repr__(self):
         return f"CoxeterGraph(rank={self.rank}, edges={self.edges()!r})"

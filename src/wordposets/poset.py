@@ -145,7 +145,8 @@ def build_word_poset(word, alphabet: CommutationAlphabet, *,
                      max_positions: int = DEFAULT_MAX_POSITIONS) -> WordPoset:
     """Word poset of a word: occurrence i precedes occurrence j (i < j as
     positions) iff a chain of equal-or-non-commuting constraints links them.
-    """
+    Letter j's down-set joins that of the latest occurrence of each symbol
+    not commuting with it, which lies above that symbol's earlier ones."""
     letters = tuple(word)
     m = len(letters)
     if m > max_positions:
@@ -153,13 +154,14 @@ def build_word_poset(word, alphabet: CommutationAlphabet, *,
     for s in letters:
         if s not in alphabet:
             raise ValueError(f"letter {s!r} not in alphabet")
-    preds = [0] * m
-    for j in range(m):
-        acc = 0
-        for i in range(j):
-            if letters[i] not in alphabet.commuting[letters[j]]:
-                acc |= preds[i] | (1 << i)
-        preds[j] = acc
+    preds, last = [], {}  # symbol index -> its latest occurrence's down-set, itself included
+    for j, a in enumerate(map(alphabet.index, letters)):
+        c, acc = alphabet.commuting[a], 0
+        for b, down in last.items():
+            if not c >> b & 1:
+                acc |= down
+        preds.append(acc)
+        last[a] = acc | 1 << j
     return WordPoset._closed(letters, tuple(preds))
 
 
@@ -174,9 +176,8 @@ def validate(poset: WordPoset, alphabet: CommutationAlphabet) -> list:
     m = len(poset)
     preds = poset.preds
     labels = poset.labels
-    for s in labels:
-        alphabet.index(s)  # ValueError for a label outside the alphabet
-    commuting = [alphabet.commuting[s] for s in labels]
+    ids = [alphabet.index(s) for s in labels]  # ValueError for a label outside the alphabet
+    commuting = [alphabet.commuting[i] for i in ids]
     for y in range(m):
         for x in _bits(preds[y]):
             if preds[x] >> y & 1:
@@ -185,13 +186,13 @@ def validate(poset: WordPoset, alphabet: CommutationAlphabet) -> list:
                 out.append(f"order: not transitively closed at {x} < {y}")
     for x in range(m):
         for y in range(x + 1, m):
-            constrained = labels[y] not in commuting[x]
+            constrained = not commuting[x] >> ids[y] & 1
             comparable = poset.less(x, y) or poset.less(y, x)
             if constrained and not comparable:
                 out.append(
                     f"condition (a): {x} and {y} (labels {labels[x]!r}, {labels[y]!r}) incomparable")
     for x, y in poset.covers():
-        if labels[y] in commuting[x]:
+        if commuting[x] >> ids[y] & 1:
             out.append(
                 f"condition (b): cover {x} < {y} with commuting labels {labels[x]!r}, {labels[y]!r}")
     return out
@@ -270,12 +271,9 @@ def adjoin_min(poset: WordPoset, symbol, alphabet: CommutationAlphabet, *,
     m = len(poset)
     if m + 1 > max_positions:
         raise BudgetError(f"poset would have {m + 1} elements, cap is {max_positions}")
-    if symbol not in alphabet:
-        raise ValueError(f"symbol {symbol!r} not in alphabet")
-    commuting = alphabet.commuting[symbol]
-    fights = 0
+    commuting, fights = alphabet.commuting[alphabet.index(symbol)], 0
     for y, s in enumerate(poset.labels):
-        if s not in commuting:
+        if not commuting >> alphabet.index(s) & 1:
             fights |= 1 << y
     xbit = 1 << m
     preds = [p | xbit if (p | 1 << y) & fights else p for y, p in enumerate(poset.preds)]

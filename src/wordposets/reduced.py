@@ -91,8 +91,10 @@ def _involutions(graph):
     that no graph is kept alive for it."""
     if (known := _FLIPS.get(key := (graph.rank, graph._edges))) is not None:
         return known
-    n, d, m, rows = graph.rank, graph.state_degree, graph._labels, graph.state_rows
-    sigma, budget, found, kinds = [None] * n, 256, [], [sorted(row) for row in m]
+    n, d, rows, near = graph.rank, graph.state_degree, graph.state_rows, [{} for _ in range(graph.rank)]
+    for i, j, label in graph._edges:  # neighbours with edge labels; a kind is the sorted labels
+        near[i - 1][j - 1] = near[j - 1][i - 1] = label
+    sigma, budget, found, kinds = [None] * n, 256, [], [sorted(labels.values()) for labels in near]
 
     def search(i):  # sigma is set below i; pair i with itself or a later j of its kind
         nonlocal budget
@@ -107,7 +109,8 @@ def _involutions(graph):
             return search(i + 1)
         for j in range(i, n):
             if budget > 0 and sigma[j] is None and kinds[j] == kinds[i] and all(
-                    m[i][k] == m[j][t] for k, t in enumerate(sigma) if t is not None):
+                    sigma[k] is None or near[y].get(sigma[k], 2) == label
+                    for x, y in ((i, j), (j, i)) for k, label in near[x].items()):
                 budget -= 1
                 sigma[i], sigma[j] = j, i
                 search(i + 1)
@@ -326,12 +329,10 @@ def _braid_moves(graph, w):
     """Words one braid move away from w: a segment a b a ... of finite length
     m(a,b) >= 3, replaced by the same alternation started from b.  Every
     such segment starts a b a, so the label is read only there."""
-    labels, out = graph._labels, []
+    labels, out = graph._pairs, []
     for p, (a, b, c) in enumerate(zip(w, w[1:], w[2:])):
-        if a != c:
-            continue
-        m = labels[a - 1][b - 1]
-        if 2 < m <= len(w) - p and w[p + 3:p + m] == w[p + 1:p + m - 2]:
+        if a == c and 2 < (m := labels.get((a, b), 2)) <= len(w) - p and \
+                w[p + 3:p + m] == w[p + 1:p + m - 2]:
             out.append(w[:p] + (b,) + w[p:p + m - 1] + w[p + m:])
     return out
 
@@ -350,8 +351,8 @@ def oracle_reduced(graph, word, *, max_words: int | None = None):
     """
     word = _require_reduced(graph, word)[0]
     cap = DEFAULT_MAX_REDUCED_WORDS if max_words is None else max_words
-    commuting = CommutationAlphabet.from_coxeter(graph).commuting
-    return _closure(word, commuting, cap, "reduced-word closure", functools.partial(_braid_moves, graph))
+    return _closure(word, (0,) + graph.commuting, cap, "reduced-word closure",
+                    functools.partial(_braid_moves, graph))
 
 
 def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:

@@ -47,10 +47,10 @@ def same_class(u, v, alphabet: CommutationAlphabet) -> bool:
 
 
 def _closure(start, commuting, cap, what, braids=None):
-    """Every word reachable from ``start`` by swapping adjacent letters a b
-    with b in ``commuting[a]``, and by the moves ``braids(word)`` if given,
-    with the number of classes under swaps alone; raises BudgetError past
-    ``cap`` words.
+    """Every word of integer letters reachable from ``start`` by swapping
+    adjacent letters a b where bit b of the bit set ``commuting[a]`` is set,
+    and by the moves ``braids(word)`` if given, with the number of classes
+    under swaps alone; raises BudgetError past ``cap`` words.
 
     One flood: a class is flooded by swaps from its start, each word's
     braid targets are pending starts, and one not yet reached when taken
@@ -71,7 +71,7 @@ def _closure(start, commuting, cap, what, braids=None):
             if braids:
                 starts += braids(u)
             for i, (a, b) in enumerate(zip(u, u[1:])):
-                if b in commuting[a] and (v := u[:i] + (b, a) + u[i + 2:]) not in seen:
+                if commuting[a] >> b & 1 and (v := u[:i] + (b, a) + u[i + 2:]) not in seen:
                     if len(seen) >= cap:
                         raise BudgetError(f"{what} exceeds {cap} words")
                     seen.add(v)
@@ -83,16 +83,17 @@ def oracle_enumerate_class(word, alphabet: CommutationAlphabet, *,
                            max_size: int | None = None) -> set:
     """All words reachable by adjacent commuting swaps, as a set of tuples.
 
-    The shared flood ``_closure`` without braid moves (with them it is
-    ``reduced.oracle_reduced``), independent of the poset and
-    inclusion-exclusion code; the reference answer for count_class and
+    The shared flood ``_closure`` over symbol indices, without braid moves
+    (with them it is ``reduced.oracle_reduced``), independent of the poset
+    and inclusion-exclusion code; the reference answer for count_class and
     enumerate_linear_extensions.
     Raises BudgetError when the class exceeds ``max_size`` words.
     """
     if max_size is None:
         max_size = DEFAULT_MAX_CLASS_SIZE
-    start = tuple(word)
-    for s in start:
+    word = tuple(word)
+    for s in word:
         if s not in alphabet:
             raise ValueError(f"letter {s!r} not in alphabet")
-    return _closure(start, alphabet.commuting, max_size, "commutation class")[0]
+    seen = _closure(tuple(map(alphabet.index, word)), alphabet.commuting, max_size, "commutation class")[0]
+    return {tuple(map(alphabet.symbols.__getitem__, w)) for w in seen}

@@ -249,3 +249,21 @@ def random_coxeter_graph(rng, max_rank=4, labels=(2, 2, 2, 3, 3, 4, INFINITY)):
 
 def random_word(rng, rank, max_len):
     return tuple(rng.randint(1, rank) for _ in range(rng.randint(0, max_len)))
+
+
+def label_involutions(graph):
+    """Every involution sigma != id of the generators, as the tuple (0,
+    sigma(1), ..., sigma(n)), that keeps every label and keeps the order of
+    the endpoints of each label-4 or label-6 edge: the integer Cartan entries
+    of those labels split asymmetrically, so swapping the ends changes the
+    reflection.  Brute force over all permutations."""
+    gens = list(graph.generators)
+    out = set()
+    for image in permutations(gens):
+        sigma = (0,) + image
+        if image == tuple(gens) or any(sigma[sigma[a]] != a for a in gens):
+            continue
+        keeps_labels = all(graph.label(sigma[a], sigma[b]) == graph.label(a, b) for a in gens for b in gens)
+        if keeps_labels and all(sigma[i] < sigma[j] for i, j, m in graph.edges() if m in (4, 6)):
+            out.add(sigma)
+    return out
