@@ -23,9 +23,9 @@ import math
 from itertools import permutations, product
 from operator import itemgetter
 
-from .coxeter import CoxeterGraph, INFINITY, _FrozenRecord, canonical_form
+from .coxeter import CoxeterGraph, INFINITY, _FrozenRecord
 # not called here; bound for bench/tracing.py's per-layer table
-from .coxeter import apply_generator, matrix_key, _column_sign  # noqa: F401
+from .coxeter import apply_generator, canonical_form, matrix_key, _column_sign  # noqa: F401
 from .errors import BudgetError
 from .reduced import _count_levels, count_classes
 
@@ -264,7 +264,10 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     max_rank may not exceed k, since a reduced word of length k uses at
     most k distinct generators.  The search decomposes supports into
     connected components (class counts multiply across commuting parts),
-    so the heavy enumeration stops at rank k-1.
+    so the heavy enumeration stops at rank k-1.  The witness word is the
+    least reduced word of its element: each part's word is least, the parts
+    commute, and their letters lie in increasing blocks, so taking the least
+    left descent each time reads the parts' words in turn.
     """
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
@@ -296,6 +299,4 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     if composed is None:
         raise ValueError(f"no element of length {k} within the search space")
     value, parts = composed
-    graph, word = _combine_witness(table, parts)
-    word = canonical_form(graph, word).word
-    return SearchResult(value, graph, word)
+    return SearchResult(value, *_combine_witness(table, parts))

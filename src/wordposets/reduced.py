@@ -45,7 +45,6 @@ DEFAULT_MEMO_CAP = 1_000_000
 DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
 # a descent tuple, held once, with the bit set of its letters
 _kinds = functools.lru_cache(maxsize=1 << 12)(lambda ds: (ds, sum(1 << a for a in ds)))
-_FLIPS = {}  # (rank, edges) -> _involutions of the graph
 
 
 class WPSet(_Record):
@@ -85,25 +84,26 @@ def _independent_subsets(graph, descents):
 
 def _involutions(graph):
     """State maps u -> sigma(u), block-wise coordinate permutations, of the
-    involutions sigma != id of the generators that keep every label and carry
-    ``state_rows[a]`` onto row sigma(a), as far as 256 search pairings reach.
-    Equal graphs share one search, kept for the last 64 by rank and edges, so
-    that no graph is kept alive for it."""
-    if (known := _FLIPS.get(key := (graph.rank, graph._edges))) is not None:
-        return known
-    n, d, rows, near = graph.rank, graph.state_degree, graph.state_rows, [{} for _ in range(graph.rank)]
-    for i, j, label in graph._edges:  # neighbours with edge labels; a kind is the sorted labels
+    involutions sigma != id of the generators that keep every label and the
+    endpoint order i < j of each label-4 or label-6 edge (the integer Cartan
+    entries of those labels split asymmetrically), as far as 256 search
+    pairings reach.  Equal graphs share one search, cached for the last 64 by
+    (rank, edges, state degree), so that no graph is kept alive for it."""
+    return _flips(graph.rank, graph._edges, graph.state_degree)
+
+
+@functools.lru_cache(maxsize=64)
+def _flips(n, edges, d):
+    near = [{} for _ in range(n)]
+    for i, j, label in edges:  # neighbours with edge labels; a kind is the sorted labels
         near[i - 1][j - 1] = near[j - 1][i - 1] = label
     sigma, budget, found, kinds = [None] * n, 256, [], [sorted(labels.values()) for labels in near]
 
     def search(i):  # sigma is set below i; pair i with itself or a later j of its kind
         nonlocal budget
         if i == n:
-            p = [sigma[j // d] * d + j % d for j in range(n * d)]
-            if p != sorted(p) and all(
-                    sorted((p[x], p[k], c) for x, k, c in rows[a]) == sorted(rows[sigma[a]])
-                    for a in range(n)):
-                found.append(operator.itemgetter(*p))
+            if sigma != list(range(n)) and all(sigma[x - 1] < sigma[y - 1] for x, y, m in edges if m in (4, 6)):
+                found.append(operator.itemgetter(*[sigma[j // d] * d + j % d for j in range(n * d)]))
             return
         if sigma[i] is not None:
             return search(i + 1)
@@ -116,10 +116,7 @@ def _involutions(graph):
                 search(i + 1)
                 sigma[i] = sigma[j] = None
     search(0)
-    if len(_FLIPS) >= 64:
-        del _FLIPS[next(iter(_FLIPS))]
-    _FLIPS[key] = found = tuple(found)
-    return found
+    return tuple(found)
 
 
 def _sigma(graph, flip):

@@ -75,6 +75,41 @@ def test_involutions_match_the_label_reference():
     assert found > 1000
 
 
+def test_involutions_match_the_label_reference_on_larger_rings():
+    # every labelling of rank <= 3 over {2, 4, 6, 7, 8, inf}: rings of degree
+    # 3 to 24 that also hold label-4 and label-6 edges in both orientations
+    graphs = []
+    for rank in range(1, 4):
+        pairs = list(itertools.combinations(range(1, rank + 1), 2))
+        for labels in itertools.product((2, 4, 6, 7, 8, INFINITY), repeat=len(pairs)):
+            graphs.append(CoxeterGraph(rank, [(i, j, m) for (i, j), m in zip(pairs, labels) if m != 2]))
+    assert len(graphs) == 223
+    assert max(graph.state_degree for graph in graphs) > 2
+    found = 0
+    for graph in graphs:
+        sigmas = {tuple(reduced._sigma(graph, flip)) for flip in reduced._involutions(graph)}
+        assert sigmas == label_involutions(graph), graph
+        found += len(sigmas)
+    assert found == 68
+
+
+def test_involution_search_reads_only_rank_edges_and_degree():
+    # the state ring's basis, psi and rows are gone, so the search can read
+    # nothing but the rank, the edge triples and the state degree
+    paths = [[(a, a + 1, m) for a, m in enumerate(labels, 1)]
+             for labels in [(7, 8, 8, 7), (INFINITY, 7, 7, INFINITY), (6, 8, 8, 6), (4, 7, 7, 4)]]
+    # (1 3)(2 4) keeps the order of both label-6 edges; the path reversals
+    # turn the label-6 and label-4 edges round
+    found = []
+    for edges in paths + [[(1, 2, 6), (3, 4, 6), (2, 5, 7), (4, 5, 7)]]:
+        graph = CoxeterGraph(5, edges)
+        del graph.state_rows, graph.state_basis, graph.state_psi
+        sigmas = {tuple(reduced._sigma(graph, flip)) for flip in reduced._involutions(graph)}
+        assert sigmas == label_involutions(graph), edges
+        found.append(len(sigmas))
+    assert found == [1, 1, 0, 0, 1]
+
+
 def test_involution_search_reach_on_cycles():
     # the n-cycle's involutions are its n reflections and, for n even, the
     # half turn; the 256 search pairings find all of them up to n = 18, and
