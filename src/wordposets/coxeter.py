@@ -83,21 +83,19 @@ def _cartan_pair(m, exact):
 
 @functools.cache
 def _cyclotomic(n):
-    """Integer coefficients, constant term first, of the n-th cyclotomic
-    polynomial: Phi_(n/k)(x^k) when k^2 divides n for a prime k, else x^n - 1
-    divided by those of the proper divisors of n."""
-    k = next((k for k in range(2, math.isqrt(n) + 1) if n % (k * k) == 0), 0)
-    if k:  # the least such k is prime
-        q = _cyclotomic(n // k)
-        return tuple(q[i // k] if i % k == 0 else 0 for i in range((len(q) - 1) * k + 1))
-    p = [-1] + [0] * (n - 1) + [1]
-    for k in (k for k in range(1, n) if n % k == 0):
-        q = _cyclotomic(k)
-        e = len(q) - 1
-        for i in range(len(p) - 1, e - 1, -1):  # the quotient replaces p[e:]
-            for j in range(e):
-                p[i - e + j] -= p[i] * q[j]
-        p = p[e:]
+    """Integer coefficients, constant term first, of Phi_n = prod over the
+    squarefree e | n of (x^(n/e) - 1)^mu(e): mu(e) = 1 factors multiplied in,
+    then the rest divided out exactly, p_i = p_(i-k) - q_i for q = p (x^k - 1)."""
+    factors, p = [(n, 1)], [1]  # (n / e, mu(e)), e over the products of n's primes
+    for k in (k for k in range(2, n + 1) if n % k == 0 and all(k % j for j in range(2, k))):
+        factors += [(f // k, -mu) for f, mu in factors]
+    for k, mu in sorted(factors, key=lambda factor: -factor[1]):
+        if mu == 1:
+            p = [u - v for u, v in zip([0] * k + p, p + [0] * k)]
+        else:
+            for i in range(len(p)):
+                p[i] = (p[i - k] if i >= k else 0) - p[i]
+            del p[-k:]
     return tuple(p)
 
 

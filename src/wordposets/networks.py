@@ -152,7 +152,8 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
 
     Elements are grown level by level (``_levels``), one per orbit of a
     diagram involution if there is one (support, length and count are the
-    same on an orbit, and the witness is the least of its two least words),
+    same on an orbit; a level value is then the pair of least words of u and
+    sigma(u), whose first ``admit`` reads and whose least is the witness),
     skipping children whose support can no longer reach every generator within
     ``max_len``; each kept extension of a grown element spends one budget step.
     |supp v| + max_len - len(v) does not drop from u to a suffix v, so suffixes
@@ -160,7 +161,8 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     """
     n = graph.rank
 
-    def admit(word, ups):
+    def admit(value, ups):
+        word = value[0] if pairs else value
         # at slack -1 only a letter that widens the support is kept
         slack = len(set(word)) + max_len - len(word) - 1 - n
         if slack < 0:
@@ -205,8 +207,8 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
     by_rank = _connected_graphs_by_rank(max_enum, edge_labels, allow_gap, ticker) \
         if max_enum >= 2 else {}
     for r in range(2, max_enum + 1):
-        for label_tuple in by_rank[r]:
-            graph = _graph_from_labels(r, label_tuple)
+        for label_tuple in by_rank[r]:  # at length k a label m > k acts as infinity
+            graph = _graph_from_labels(r, [INFINITY if m > k else m for m in label_tuple])
             for length, (c, word) in _best_full_support_counts(
                     graph, k, ticker, memo_cap).items():
                 cand = (c, label_tuple, word)
@@ -260,6 +262,8 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     words, their classes and C(w) are those with m = infinity.  An element
     lives in the parabolic subgroup of its support, at most k generators,
     so ``search_M(k, {2, ..., k, inf}, k)`` is M(k) over every Coxeter group.
+    Each graph is counted with its labels m > k as infinity, so only labels
+    up to k and the witness graph's (kept as given) build a state ring.
 
     max_rank may not exceed k, since a reduced word of length k uses at
     most k distinct generators.  The search decomposes supports into

@@ -367,7 +367,7 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip=None, top=None):
+def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, flip=None, top=None):
     """Group elements level by level: per length, a pair (level, links).
     ``level`` maps each element's state to its canonical word, its id being
     its position there.  ``links`` holds rank + 1 slots per element: slot
@@ -375,34 +375,32 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
     2 * id' + f of a*element (element id' a level down, under the ``flip``
     if f is 1) for each left descent a, else -1.
 
-    A child is a*u for a generator a not a left descent of u (on the whole
-    group, one ``admit(word, ups)`` keeps of the list ``ups`` of them, which
-    must keep every suffix of a kept element), so an element is linked from
-    a*element for each left descent a.  A level is read, yielded, then grown;
-    its descent read must confirm the links, else SignToleranceError, and
-    sets each value from that of a*element, a the least left descent.
+    Up-steps follow two rules: a child is a*u for each ascent a of u (in J)
+    on the whole group and on W_J (below), listed once per descent tuple and
+    on the whole group handed to ``admit(value, ups)`` with u's value as it
+    is, which returns those it keeps, changes no ``ups`` and must keep every
+    suffix of a kept element; elsewhere on [e, w], for each left descent a
+    of u*w^-1.  A level is read, yielded, then grown; its descent read must
+    confirm the links, else SignToleranceError, and sets each value from
+    that of a*element, a the least left descent.
 
     Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
     levels are the interval [e, w] of its suffixes u, ending at w alone after
     len(word) steps, else SignToleranceError.  If each letter of w's support J
-    is a right descent, w = w0(J) and [e, w] = W_J: u maps to None and grows
-    by each letter of J it does not descend by, listed once per descent set.
-    Else u maps to the state of u*w^-1 = a*(a*u*w^-1) and grows to a*u
-    exactly when a left-descends u*w^-1.  With the ``flip`` of an involution
-    sigma fixing w (if given), a level keeps the lesser state of each orbit:
-    a child c = a*r with flip(c) < c is kept as flip(c), linked under
-    sigma(a) to flip(r), and a fixed one under a and sigma(a).  On the whole
-    group a value is then the pair of least words of u and sigma(u), and
-    ``admit`` reads u's and must commute with sigma.
+    is a right descent, w = w0(J) and [e, w] = W_J: u maps to None.  Else u
+    maps to the state of u*w^-1 = a*(a*u*w^-1).  With the ``flip`` of an
+    involution sigma fixing w (if given), a level keeps the lesser state of
+    each orbit: a child c = a*r with flip(c) < c is kept as flip(c), linked
+    under sigma(a) to flip(r), and a fixed one under a and sigma(a).  On the
+    whole group a value is then the pair of least words of u and sigma(u),
+    and ``admit`` must commute with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
     whole = top is not None and state_descents(graph, top) == (support := tuple(sorted(set(word))))
     gens, m, sigma = support if whole else graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
-    if pairs := sigma and top is None:
-        admit = lambda pair, ups, admit=admit: admit(pair[0], ups)
-    level, links, length = {element_state(graph): top or (((), ()) if pairs else ())}, blank[:], 0
-    asc = {}  # on W_J: descent tuple -> its ascents, the letters of J not in it
+    level, links, length = {element_state(graph): top or (((), ()) if sigma else ())}, blank[:], 0
+    asc = {}  # descent tuple -> its ascents, the letters of ``gens`` not in it
     while level:
         for b, key in zip(range(0, len(links), m), level):
             ds, bits = _kinds(tuple(state_descents(graph, key)))
@@ -416,7 +414,7 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
                 if top is not None:
                     level[key] = step_state(
                         graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
-                elif not pairs:
+                elif not sigma:
                     level[key] = (a,) + values[code >> 1]
                 else:  # sigma(u)'s word: x = min sigma(ds), then sigma(s*u)'s, s = sigma(x)
                     t = links[b + sigma[x := min(map(sigma.__getitem__, ds))]]
@@ -427,10 +425,9 @@ def _levels(graph, max_length=None, admit=lambda word, ups: ups, word=None, flip
             return
         setdefault, up, values = (ids := {}).setdefault, [], None if whole else list(level.values())
         for i, (key, value) in enumerate(level.items()):
-            if whole:
+            if top is None or whole:
                 steps = asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d])
-            elif top is None:
-                steps = admit(value, [a for a in gens if a not in links[i * m]])
+                steps = steps if whole else admit(value, steps)
             else:
                 steps = state_descents(graph, value)
             if top is not None and (bool(steps) != (length < len(word)) or not steps and len(level) > 1):

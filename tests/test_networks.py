@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -130,6 +131,19 @@ def test_search_over_labels_through_k_is_max_over_every_coxeter_group():
         if 2 <= k <= 4:
             assert search_M(k, {*range(2, k + 2), INFINITY}, k).value == result.value
     assert values == [1, 1, 1, 2, 2, 3]
+
+
+def test_search_counts_labels_above_k_as_infinity():
+    # a label m > k is counted as infinity, so m = 1009 builds no state ring
+    # of degree 504 for each graph; value and witness word are those of inf
+    for k in range(4, 7):
+        expected = search_M(k, {2, 3, INFINITY}, 4)
+        for m in (7, 1009):
+            start = time.monotonic()
+            result = search_M(k, {2, 3, m}, 4)
+            elapsed = time.monotonic() - start
+            assert (result.value, result.word) == (expected.value, expected.word)
+    assert elapsed < 2  # search_M(6, {2, 3, 1009}, 4)
 
 
 def test_search_small_values():
