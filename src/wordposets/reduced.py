@@ -9,10 +9,10 @@ of it: one flood of the reduced words by commutation moves, opening a new
 class at each braid-move target not yet reached.  One loop, ``_levels``,
 grows elements up from the identity on their states (see ``coxeter``): the
 whole group for ``iter_elements`` and the search in ``networks``, or the
-lower interval [e, w] of one element.  One fold, ``_fold``, carries each
-recursion bottom-up from the identity's value over the last few levels of
-that growth, one step call per level giving its values in a list by element
-id (the counts and the search once per orbit), following link codes.
+lower interval [e, w] of one element.  One fold, ``_fold``, carries the
+counts bottom-up from the identity's value over the last few levels of that
+growth, one step call per level giving its values by element id (once per
+orbit), following link codes; ``least_words`` reads the growth itself.
 
 ``bound_check`` tests 9 C(w)^2 <= 4 * 3^len(w) in exact integers.  It holds
 on every nonempty reduced word counted so far, but it is a check, not a
@@ -282,25 +282,27 @@ def least_words(graph, word, *, memo_cap: int | None = None) -> list:
     """The least word of each commutation class of reduced words of ``word``,
     ascending, refused past the poset position cap.
 
-    Recursion on left descents, bottom-up over the lower interval: a least
-    word of u is a least word v of a shortened element au with a prepended,
-    the smallest minimal label of its class.  So v, held with the bit set of
-    its class's minimal labels, gets a only when none is a b < a commuting
-    with a (b would stay minimal), and each class is listed once, keeping two
-    levels of at most ``memo_cap`` elements; the least of all names w.
+    Recursion on left descents up the levels of ``_levels`` over [e, w]: a
+    least word of u is a least word v of a shortened element au with a
+    prepended, the smallest minimal label of its class.  So v, held with the
+    bit set of its class's minimal labels, gets a only when none is a b < a
+    commuting with a (b would stay minimal); each class is listed once, and
+    at most ``memo_cap`` class words are held, of the level below and this.
     """
     word, top = _require_reduced(graph, word)
     if len(word) > DEFAULT_MAX_POSITIONS:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
-    commuting, m = graph.commuting, graph.rank + 1
-
-    def prepend(trail, window, _swap):
-        links, words = trail[-1], window[-1]
-        return [[((a,) + v, 1 << a | kept) for a in links[b] for v, mins in words[links[b + a] >> 1]
-                 if not (kept := mins & commuting[a - 1]) & (1 << a) - 1]
-                for b in range(0, len(links), m)]
-    levels = _fold(graph, prepend, [((), 0)], 1, memo_cap, "word-poset", word=word, top=top)
-    return sorted(v for v, _mins in _top(levels))
+    cap, commuting, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.commuting, graph.rank + 1
+    words = [[((), 0)]]  # class words by id, on the level below
+    for _level, links in itertools.islice(_levels(graph, word=word, top=top), 1, None):
+        below, words, total = words, [], sum(map(len, words))
+        for b in range(0, len(links), m):
+            here = [((a,) + v, 1 << a | kept) for a in links[b] for v, mins in below[links[b + a] >> 1]
+                    if not (kept := mins & commuting[a - 1]) & (1 << a) - 1]
+            if (total := total + len(here)) > cap:
+                raise BudgetError(f"word-poset memo exceeds {cap} entries")
+            words.append(here)
+    return sorted(v for v, _mins in words[0])
 
 
 def wp_set(graph, word, *, memo_cap: int | None = None) -> WPSet:
@@ -375,29 +377,30 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     2 * id' + f of a*element (element id' a level down, under the ``flip``
     if f is 1) for each left descent a, else -1.
 
-    Up-steps follow two rules: a child is a*u for each ascent a of u (in J)
-    on the whole group and on W_J (below), listed once per descent tuple and
-    on the whole group handed to ``admit(value, ups)`` with u's value as it
-    is, which returns those it keeps, changes no ``ups`` and must keep every
-    suffix of a kept element; elsewhere on [e, w], for each left descent a
-    of u*w^-1.  A level is read, yielded, then grown; its descent read must
-    confirm the links, else SignToleranceError, and sets each value from
-    that of a*element, a the least left descent.
+    Up-steps follow one rule: a child is a*u for each ascent a of u (in J on
+    W_J, below) that ``admit(value, ups)`` keeps of u's ascents ``ups``,
+    listed once per descent tuple; it reads u's value as it is, changes no
+    ``ups`` and must keep every suffix of a kept element.  A level is read,
+    yielded, then grown; its descent read must confirm the links, else
+    SignToleranceError, and sets each value from that of a*u, a least in D(u).
 
     Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
     levels are the interval [e, w] of its suffixes u, ending at w alone after
     len(word) steps, else SignToleranceError.  If each letter of w's support J
-    is a right descent, w = w0(J) and [e, w] = W_J: u maps to None.  Else u
-    maps to the state of u*w^-1 = a*(a*u*w^-1).  With the ``flip`` of an
-    involution sigma fixing w (if given), a level keeps the lesser state of
-    each orbit: a child c = a*r with flip(c) < c is kept as flip(c), linked
-    under sigma(a) to flip(r), and a fixed one under a and sigma(a).  On the
-    whole group a value is then the pair of least words of u and sigma(u),
-    and ``admit`` must commute with sigma.
+    is a right descent, w = w0(J) and [e, w] = W_J: u maps to None and every
+    ascent is kept.  Else u maps to the state of u*w^-1 = a*(a*u*w^-1), and
+    ``admit`` keeps the left descents of u*w^-1, each an ascent of u: with w
+    = v*u reduced, a right descent a of v makes a*u a reduced suffix of w.
+    With the ``flip`` of an involution sigma fixing w (if given), a level
+    keeps the lesser state of each orbit: a child c = a*r with flip(c) < c is
+    kept as flip(c), linked under sigma(a) to flip(r), and a fixed one under
+    a and sigma(a).  On the whole group a value is then the pair of least
+    words of u and sigma(u), and ``admit`` must commute with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
     whole = top is not None and state_descents(graph, top) == (support := tuple(sorted(set(word))))
     gens, m, sigma = support if whole else graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
+    admit = admit if top is None or whole else lambda value, _ups: state_descents(graph, value)
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
     level, links, length = {element_state(graph): top or (((), ()) if sigma else ())}, blank[:], 0
     asc = {}  # descent tuple -> its ascents, the letters of ``gens`` not in it
@@ -425,11 +428,7 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
             return
         setdefault, up, values = (ids := {}).setdefault, [], None if whole else list(level.values())
         for i, (key, value) in enumerate(level.items()):
-            if top is None or whole:
-                steps = asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d])
-                steps = steps if whole else admit(value, steps)
-            else:
-                steps = state_descents(graph, value)
+            steps = admit(value, asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d]))
             if top is not None and (bool(steps) != (length < len(word)) or not steps and len(level) > 1):
                 raise SignToleranceError("lower interval does not end at the element")
             own, mirror = 2 * i, 2 * i + 1  # one code object per parent, not per link

@@ -151,6 +151,31 @@ def steinberg_series(finite_parabolics, n):
     return _series_quotient([1], total, n)
 
 
+def catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def fully_commutative_count(family, n):
+    """Elements with one commutation class of reduced words (fully
+    commutative, C(w) = 1) in the finite Coxeter group ``family`` of rank n
+    (I2 takes the label m as n), in closed form.  A_n: the Catalan number
+    C(n+1), as they are the 321-avoiding permutations (Billey, Jockusch and
+    Stanley, J. Algebraic Combin. 2 (1993) 345-374).  B_n, D_n and the
+    exceptional groups: J. R. Stembridge, The enumeration of fully
+    commutative elements of Coxeter groups, J. Algebraic Combin. 7 (1998)
+    291-320.  I2(m), m >= 3: every element but the longest, whose two
+    reduced words are the two sides of the braid relation."""
+    if family == "A":
+        return catalan(n + 1)
+    if family == "B":
+        return (n + 2) * catalan(n) - 1
+    if family == "D":
+        return (n + 3) * catalan(n) // 2 - 1
+    if family == "I2":
+        return 2 * n - 1
+    return {("E", 6): 662, ("E", 7): 2670, ("F", 4): 106, ("H", 3): 44, ("H", 4): 195}[family, n]
+
+
 def least_word_class_count(graph, word):
     """Commutation classes of reduced words of the element of the reduced
     ``word``, counted as the lexicographically least words of its classes.

@@ -528,3 +528,24 @@ def test_calls_in_one_process_match_calls_alone(files, capsys, monkeypatch):
 def test_parser_is_not_built_at_import():
     code = "from wordposets import cli, networks; print(cli._parser.cache_info().misses)"
     assert _python(code) == (0, "0\n", "")
+
+
+# (1 2 3 4)^15 is the longest element of H4, c^(h/2) for the Coxeter number h = 30
+H4_W0 = " ".join(["1 2 3 4"] * 15)
+
+
+# About 2.5-3 s each on a 2-core VM, at about 380 MB peak RSS
+@pytest.mark.parametrize("command", ["check", "enum-classes"])
+def test_longest_element_of_h4_stops_at_the_word_cap(tmp_path, command):
+    # 60 letters, within the position cap, and 105,516,880 classes: the
+    # listing counts the class words it holds against the memo cap, so it
+    # stops with one error line under 2 GB of address space (set in the
+    # child alone), not with a MemoryError
+    resource = pytest.importorskip("resource")
+    graph = tmp_path / "h4.cox"
+    graph.write_text("generators: 4\nedge: 1 2 5\nedge: 2 3 3\nedge: 3 4 3\n")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    code = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard})); {RUN_ALONE}"
+    assert _python(code, command, "--graph", str(graph), "--word", H4_W0) == (
+        2, "", "error: word-poset memo exceeds 1000000 entries\n")

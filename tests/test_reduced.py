@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import least_word_class_count, random_word, standard_tableaux
+from oracles import fully_commutative_count, least_word_class_count, random_word, standard_tableaux
 from wordposets import (
     BudgetError,
     CanonicalElement,
@@ -13,6 +13,7 @@ from wordposets import (
     NotReducedError,
     SignToleranceError,
     WPSet,
+    WordPoset,
     bound_check,
     build_word_poset,
     canonical_form,
@@ -616,3 +617,99 @@ def test_least_word_oracle_matches_class_counts_of_longest_elements(graph, word,
     # beyond the braid closure's reach (10^6 words); before this oracle only
     # P(9), a known term of OEIS A006245, had an independent check
     assert least_word_class_count(graph, word) == count_classes(graph, word) == classes
+
+
+# ------------------------------------------- the least-word listing's cap
+
+def test_least_words_cap_counts_the_class_words_held():
+    # S5's w0 has 62 classes over 120 elements.  The listing holds the class
+    # words of two levels, at most 84 + 80 = 164 of them (lengths 8 and 9);
+    # two levels hold at most 22 + 20 = 42 elements, which a cap on
+    # elements would pass at 42 or more
+    graph, word = CoxeterGraph.type_a(4), w0_word(5)
+    with pytest.raises(BudgetError, match="word-poset memo exceeds 62 entries"):
+        reduced.least_words(graph, word, memo_cap=62)
+    assert len(reduced.least_words(graph, word, memo_cap=164)) == 62
+    with pytest.raises(BudgetError, match="word-poset memo exceeds 163 entries"):
+        reduced.least_words(graph, word, memo_cap=163)
+
+
+# ------------------------------------------- fully commutative elements
+
+def _path(n, last=3):
+    return [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, last)]
+
+
+def _fully_commutative(graph, folded):
+    # elements u with C(u) = 1 over the whole group; folded, each orbit
+    # representative stands for its orbit under the first involution, the
+    # one the fold takes on the whole group
+    flip, total = folded and reduced._involutions(graph)[0], 0
+    for level, counts in reduced._count_levels(graph, orbits=folded):
+        total += sum(1 if not flip or flip(key) == key else 2 for key, c in zip(level, counts) if c == 1)
+    return total
+
+
+FC_GROUPS = (
+    [(f"A{n}", CoxeterGraph.type_a(n), ("A", n)) for n in range(2, 8)]
+    + [(f"B{n}", CoxeterGraph(n, _path(n, 4)), ("B", n)) for n in range(2, 7)]
+    + [(f"D{n}", CoxeterGraph(n, _path(n - 1) + [(n - 2, n, 3)]), ("D", n)) for n in range(4, 7)]
+    + [("F4", CoxeterGraph(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)]), ("F", 4)),
+       ("H3", H3, ("H", 3)), ("H4", H4, ("H", 4)),
+       ("E6", CoxeterGraph(6, [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (2, 4, 3)]), ("E", 6))]
+    + [(f"I2({m})", CoxeterGraph(2, [(1, 2, m)]), ("I2", m)) for m in (3, 4, 5, 6, 7, 8, 12)])
+E7 = CoxeterGraph(7, [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (2, 4, 3)])
+
+
+# About 2 s in all on a 2-core VM, A7, B6 and E6 unfolded 0.3-0.4 s each.
+# B_n, F4, H3, H4, I2(4) and I2(6) have no involution the fold takes (the
+# Cartan entries of labels 4 and 6 split asymmetrically), so run unfolded only
+FC_CASES = [pytest.param(graph, group, folded, id=f"{name}-{'folded' if folded else 'unfolded'}")
+            for name, graph, group in FC_GROUPS for folded in (False, True)
+            if not folded or reduced._involutions(graph)]
+
+
+@pytest.mark.parametrize("graph, group, folded", FC_CASES)
+def test_fully_commutative_census_matches_closed_forms(graph, group, folded):
+    assert _fully_commutative(graph, folded) == fully_commutative_count(*group)
+
+
+@pytest.mark.skipif(os.environ.get("WORDPOSETS_STRETCH") != "1",
+                    reason="E7's 2,903,040 elements take about 25 s; set WORDPOSETS_STRETCH=1")
+def test_fully_commutative_census_of_e7():
+    assert _fully_commutative(E7, False) == fully_commutative_count("E", 7)
+
+
+# ------------------------------------------- counting reduced words is #P-hard
+
+def _random_poset(rng, n, width):
+    # a natural labelling 0 .. n-1 covered by ``width`` chains, so no
+    # antichain is wider, plus random relations i < j; closed transitively
+    last, preds = {}, []
+    for j in range(n):
+        chain = rng.randrange(width)
+        down = (1 << last[chain] | preds[last[chain]]) if chain in last else 0
+        for i in range(j):
+            if rng.random() < 0.15:
+                down |= 1 << i | preds[i]
+        preds.append(down)
+        last[chain] = j
+    return preds
+
+
+@pytest.mark.parametrize("n, count", [(8, 200), (20, 50)])
+def test_reduced_words_of_a_poset_word_are_its_linear_extensions(n, count):
+    # label 3 on the cover pairs of a naturally labelled poset P, 2 on every
+    # other pair: w = 1 2 ... n has distinct letters, so no braid move
+    # applies, its one class is its reduced words, and its word poset is P.
+    # So R(w) is the number of linear extensions of P, the reduction by
+    # which counting reduced words inherits #P-hardness
+    rng = random.Random(20261021 + n)
+    for _ in range(count):
+        preds = _random_poset(rng, n, rng.randint(1, 4))
+        poset = WordPoset(tuple(range(1, n + 1)), preds)
+        graph = CoxeterGraph(n, [(x + 1, y + 1, 3) for x, y in poset.covers()])
+        word = tuple(range(1, n + 1))
+        assert count_reduced_words(graph, word) == count_linear_extensions(poset)
+        assert count_classes(graph, word) == 1
+        assert build_word_poset(word, CommutationAlphabet.from_coxeter(graph)).preds == poset.preds
