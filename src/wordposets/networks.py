@@ -129,14 +129,13 @@ def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
     choices = list(edge_labels) + ([2] if allow_gap else [])
     for r in range(2, max_r + 1):
         found = set()
-        if edge_labels:
-            for base in by_rank[r - 1]:
-                base_map = dict(zip(_pair_order(r - 1), base))
-                for profile in product(choices, repeat=r - 1):
-                    if any(c != 2 for c in profile):  # the new vertex attaches
-                        ticker.spend()
-                        label_map = base_map | {(v, r - 1): c for v, c in enumerate(profile)}
-                        found.add(_canonical_labels(r, label_map))
+        for base in by_rank[r - 1]:
+            base_map = dict(zip(_pair_order(r - 1), base))
+            for profile in product(choices, repeat=r - 1):
+                if any(c != 2 for c in profile):  # the new vertex attaches
+                    ticker.spend()
+                    label_map = base_map | {(v, r - 1): c for v, c in enumerate(profile)}
+                    found.add(_canonical_labels(r, label_map))
         by_rank[r] = sorted(found)
     return by_rank
 
@@ -181,41 +180,28 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     return best
 
 
-def _diagonal_witness_labels(r, edge_labels, allow_gap):
-    """Connected graph carrying a length-r element with all letters distinct:
-    a path when absent edges are allowed, a complete graph otherwise."""
-    m = min(edge_labels)
-    return tuple(m if j == i + 1 or not allow_gap else 2 for i, j in _pair_order(r))
-
-
 def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap):
-    """(rank, length) -> (count, label tuple, word) over connected supports.
-
-    A length-r element on r generators has pairwise distinct letters, so no
-    braid move ever applies anywhere in its class and the count is 1; those
-    diagonal entries are filled directly, which keeps the expensive
-    enumeration at ranks strictly below the length.
+    """(rank, length) -> (count, label tuple, word) over connected supports,
+    by one rule: (1, 1), the best enumerated entry at each rank 2..k-1, and,
+    without label 2, the complete rank-k graph on the least edge label for
+    (k, k).  A length-r part on r generators has distinct letters, counts 1
+    and so ties r commuting singletons (1, 1), whose sorted parts are less:
+    with label 2 no such diagonal part wins.  Without it nothing commutes
+    across parts, so only length-k entries are kept.
     """
-    table = {}
-    if k >= 1 and max_rank >= 1:
-        table[(1, 1)] = (1, (), (1,))
-    if edge_labels:
-        for r in range(2, min(max_rank, k) + 1):
-            table[(r, r)] = (1, _diagonal_witness_labels(r, edge_labels, allow_gap),
-                             tuple(range(1, r + 1)))
+    table = {(1, 1): (1, (), (1,))}
+    if not allow_gap and edge_labels and k <= max_rank:
+        table[(k, k)] = (1, (edge_labels[0],) * (k * (k - 1) // 2), tuple(range(1, k + 1)))
     max_enum = min(max_rank, k - 1)
-    by_rank = _connected_graphs_by_rank(max_enum, edge_labels, allow_gap, ticker) \
-        if max_enum >= 2 else {}
+    by_rank = _connected_graphs_by_rank(max_enum, edge_labels, allow_gap, ticker)
     for r in range(2, max_enum + 1):
         for label_tuple in by_rank[r]:  # at length k a label m > k acts as infinity
             graph = _graph_from_labels(r, [INFINITY if m > k else m for m in label_tuple])
             for length, (c, word) in _best_full_support_counts(
                     graph, k, ticker, memo_cap).items():
-                cand = (c, label_tuple, word)
-                cur = table.get((r, length))
-                if cur is None or c > cur[0] or (c == cur[0] and cand[1:] < cur[1:]):
-                    table[(r, length)] = cand
-    return table
+                if c > table.get((r, length), (0,))[0]:  # labels ascend: a tie keeps the least
+                    table[(r, length)] = (c, label_tuple, word)
+    return table if allow_gap else {key: entry for key, entry in table.items() if key[1] == k}
 
 
 def _compose_parts(table, k, max_rank):
@@ -294,11 +280,6 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     edge_labels = sorted(m for m in label_set if m != 2)
     allow_gap = 2 in label_set
     table = _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap)
-
-    if not allow_gap:
-        # without label 2 nothing commutes across parts, so one connected
-        # support must carry the whole length
-        table = {key: entry for key, entry in table.items() if key[1] == k}
     composed = _compose_parts(table, k, max_rank)
     if composed is None:
         raise ValueError(f"no element of length {k} within the search space")

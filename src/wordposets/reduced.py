@@ -131,17 +131,18 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     call per level: ``trail`` holds the last ``depth`` links lists, newest
     (this level's) last, ``window`` the values of the ``depth`` levels below,
     and swap[f][a] is sigma^f(a).  At most ``memo_cap`` values are held at
-    once; with ``orbits``, one per orbit of an involution sigma (C and R are
-    constant on orbits): one fixing ``top``, the state of w^-1 given with a
-    ``word``, else the first on the whole group; w0(J) grows W_J bare."""
+    once, the level being grown included (``_levels``' memo); with ``orbits``,
+    one per orbit of an involution sigma (C and R are constant on orbits): one
+    fixing ``top``, the state of w^-1 given with a ``word``, else the first on
+    the whole group; w0(J) grows W_J bare."""
     cap, m, top = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.rank + 1, growth.get("top")
     flip = orbits and next((f for f in _involutions(graph) if "word" not in growth or f(top) == top),
                            None)
     swap = (same := list(range(m)), _sigma(graph, flip) if flip else same)
+    if cap < 1:  # the identity's seed; the growth checks every later level as it grows
+        raise BudgetError(f"{what} memo exceeds {cap} entries")
     trail, window = [], []
-    for level, links in _levels(graph, flip=flip, **growth):
-        if sum(map(len, window)) + len(level) > cap:
-            raise BudgetError(f"{what} memo exceeds {cap} entries")
+    for level, links in _levels(graph, flip=flip, memo=(cap, depth, what), **growth):
         trail = (trail + [links])[-depth:]
         here = step(trail, window, swap) if window else [seed]
         window = (window + [here])[-depth:]
@@ -294,7 +295,7 @@ def least_words(graph, word, *, memo_cap: int | None = None) -> list:
         raise BudgetError(f"word has {len(word)} letters, position cap is {DEFAULT_MAX_POSITIONS}")
     cap, commuting, m = DEFAULT_MEMO_CAP if memo_cap is None else memo_cap, graph.commuting, graph.rank + 1
     words = [[((), 0)]]  # class words by id, on the level below
-    for _level, links in itertools.islice(_levels(graph, word=word, top=top), 1, None):
+    for _level, links in itertools.islice(_levels(graph, word=word, top=top, memo=(cap, 1, "word-poset")), 1, None):
         below, words, total = words, [], sum(map(len, words))
         for b in range(0, len(links), m):
             here = [((a,) + v, 1 << a | kept) for a in links[b] for v, mins in below[links[b + a] >> 1]
@@ -369,7 +370,8 @@ def bound_check(graph, word, *, memo_cap: int | None = None) -> bool:
     return 9 * c * c <= 4 * 3 ** len(word)
 
 
-def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, flip=None, top=None):
+def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, flip=None, top=None,
+            memo=(float("inf"), 1, None)):
     """Group elements level by level: per length, a pair (level, links).
     ``level`` maps each element's state to its canonical word, its id being
     its position there.  ``links`` holds rank + 1 slots per element: slot
@@ -383,6 +385,8 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     ``ups`` and must keep every suffix of a kept element.  A level is read,
     yielded, then grown; its descent read must confirm the links, else
     SignToleranceError, and sets each value from that of a*u, a least in D(u).
+    With ``memo`` (cap, depth, what), a level grows only within the cap less
+    the last ``depth`` levels, which the caller holds, else BudgetError.
 
     Given a reduced ``word`` of w (and maybe ``top``, the state of w^-1), the
     levels are the interval [e, w] of its suffixes u, ending at w alone after
@@ -404,6 +408,7 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
     level, links, length = {element_state(graph): top or (((), ()) if sigma else ())}, blank[:], 0
     asc = {}  # descent tuple -> its ascents, the letters of ``gens`` not in it
+    (cap, depth, what), sizes = memo, []  # the sizes of the last ``depth`` levels yielded
     while level:
         for b, key in zip(range(0, len(links), m), level):
             ds, bits = _kinds(tuple(state_descents(graph, key)))
@@ -427,6 +432,7 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
         if max_length is not None and length >= max_length:
             return
         setdefault, up, values = (ids := {}).setdefault, [], None if whole else list(level.values())
+        room = cap - sum(sizes := (sizes + [len(level)])[-depth:])  # less what the caller holds
         for i, (key, value) in enumerate(level.items()):
             steps = admit(value, asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d]))
             if top is not None and (bool(steps) != (length < len(word)) or not steps and len(level) > 1):
@@ -437,6 +443,8 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
                 if flip and (image := flip(child)) < child:
                     child, a, code = image, sigma[a], mirror
                 if (c := setdefault(child, n := len(ids))) == n:
+                    if n >= room:
+                        raise BudgetError(f"{what} memo exceeds {cap} entries")
                     up += blank
                 c *= m
                 up[c + a], up[c] = code, up[c] | 1 << a

@@ -190,6 +190,19 @@ def test_search_no_gap_label_set():
     assert count_classes(result.graph, result.word) == 2
 
 
+@pytest.mark.parametrize("label", [3, 5, INFINITY])
+def test_search_no_gap_length_k_on_rank_k_is_the_complete_graph(label):
+    # without label 2 the (k, k) entry is read directly, not enumerated: the
+    # complete rank-k graph on the least edge label, as given, and 1 2 ... k
+    assert search_M(2, {label}, 2) == SearchResult(1, CoxeterGraph(2, [(1, 2, label)]), (1, 2))
+
+
+def test_search_with_label_2_composes_singletons_not_a_diagonal_part():
+    # a length-2 part on 2 generators ties two commuting singletons, whose
+    # sorted parts are less: the witness has no edge
+    assert search_M(2, {2, 3}, 2) == SearchResult(1, CoxeterGraph(2), (1, 2))
+
+
 def test_search_only_commuting_label():
     # label set {2}: every element is a product of distinct commuting
     # generators, one class each

@@ -713,3 +713,33 @@ def test_reduced_words_of_a_poset_word_are_its_linear_extensions(n, count):
         assert count_reduced_words(graph, word) == count_linear_extensions(poset)
         assert count_classes(graph, word) == 1
         assert build_word_poset(word, CommutationAlphabet.from_coxeter(graph)).preds == poset.preds
+
+
+# ------------------------------------------- the memo cap while a level grows
+
+def _counting_steps(monkeypatch):
+    calls, step_state = [], reduced.step_state
+    monkeypatch.setattr(reduced, "step_state", lambda *args: calls.append(1) or step_state(*args))
+    return calls
+
+
+@pytest.mark.parametrize("count, what", [
+    (count_reduced_words, "reduced-word"), (count_classes, "class-count")])
+def test_memo_cap_stops_the_growth_of_s30_early(monkeypatch, count, what):
+    # S30's w0 (435 letters): a level past the cap is cut while it grows, not
+    # built whole and checked after, which takes 65,577 steps
+    calls = _counting_steps(monkeypatch)
+    with pytest.raises(BudgetError, match=f"^{what} memo exceeds 3000 entries$"):
+        count(CoxeterGraph.type_a(29), w0_word(30), memo_cap=3000)
+    assert len(calls) <= 10_000
+
+
+def test_least_words_cap_stops_the_growth_early(monkeypatch):
+    # edgeless rank 40, word 1 ... 40: level j holds C(40, j) elements of one
+    # class each, so levels 1 and 2 hold 40 + 780 = 820 words, and level 3
+    # (9,880 elements, 29,640 steps) stops after a few dozen
+    graph, word = CoxeterGraph(40), tuple(range(1, 41))
+    calls = _counting_steps(monkeypatch)
+    with pytest.raises(BudgetError, match="^word-poset memo exceeds 821 entries$"):
+        reduced.least_words(graph, word, memo_cap=821)
+    assert len(calls) <= 2_000
