@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import permutations, product
+from itertools import count, permutations, product
 from operator import itemgetter
 
 from .coxeter import CoxeterGraph, INFINITY, _FrozenRecord
@@ -117,27 +117,32 @@ def _canonical_labels(r, label_map):
     return labels if r < 3 else min([relabel(labels) for relabel in _relabelings(r)])
 
 
-def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
-    """Canonical label tuples of connected graphs, per rank 1..max_r.
+def _connected_graphs(edge_labels, allow_gap, ticker):
+    """Canonical label tuples of connected graphs, one sorted list per rank
+    1, 2, ..., each listed only when asked for.
 
     Grown vertex by vertex: every connected graph keeps a connected graph
     when some non-cut vertex is removed, so attaching a new vertex to each
     smaller connected graph in every possible way reaches everything; the
     canonical form collapses relabelings.
     """
-    by_rank = {1: [()]}
-    choices = list(edge_labels) + ([2] if allow_gap else [])
-    for r in range(2, max_r + 1):
+    graphs, choices = [()], list(edge_labels) + ([2] if allow_gap else [])
+    for r in count(2):
+        yield graphs
         found = set()
-        for base in by_rank[r - 1]:
+        for base in graphs:
             base_map = dict(zip(_pair_order(r - 1), base))
             for profile in product(choices, repeat=r - 1):
                 if any(c != 2 for c in profile):  # the new vertex attaches
                     ticker.spend()
                     label_map = base_map | {(v, r - 1): c for v, c in enumerate(profile)}
                     found.add(_canonical_labels(r, label_map))
-        by_rank[r] = sorted(found)
-    return by_rank
+        graphs = sorted(found)
+
+
+def _connected_graphs_by_rank(max_r, edge_labels, allow_gap, ticker):
+    """{rank: canonical label tuples} for ranks 1..max_r."""
+    return dict(zip(range(1, max(max_r, 1) + 1), _connected_graphs(edge_labels, allow_gap, ticker)))
 
 
 def _graph_from_labels(r, label_tuple):
@@ -180,6 +185,12 @@ def _best_full_support_counts(graph, max_len, ticker, memo_cap):
     return best
 
 
+def _class_bound(rank, length):
+    """A proven cap on C(w) over connected w of this rank and length, or None
+    (proofs in ``_single_component_table``)."""
+    return {0: 1, 1: 2, 2: rank if rank <= 4 else None}.get(length - rank)
+
+
 def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap):
     """(rank, length) -> (count, label tuple, word) over connected supports,
     by one rule: (1, 1), the best enumerated entry at each rank 2..k-1, and,
@@ -188,20 +199,47 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
     and so ties r commuting singletons (1, 1), whose sorted parts are less:
     with label 2 no such diagonal part wins.  Without it nothing commutes
     across parts, so only length-k entries are kept.
+
+    Ranks fill in ascending order.  A rank r with 2r > max_rank is neither
+    listed nor grown when every composition holding a rank-r part falls
+    strictly below the best so far (a tie could change the least parts).
+    Such a composition has one part of rank >= r and its rest has rank <=
+    max_rank - r < r, all filled, so it is at most bound(r, L) times the
+    best rest of length k - L, at each L where a rest composes.  The bounds
+    fall with the rank and a higher rank leaves less room, so every rank
+    above a skipped one is skipped too.  For connected w of length r + e:
+    e = 0 gives 1: the letters are distinct, a braid move needs a repeated
+    one, and by Matsumoto's theorem all reduced words lie in one class.
+    e = 1 gives 2: one letter is doubled in every word, so only aba = bab
+    with m = 3 fits; the interval between the two copies is fixed within a
+    class, so a class has at most one braid neighbour, braid moves connect
+    the classes (Matsumoto), and such a graph has at most 2 vertices.
+    e = 2: each support letter occurs, so a pair holds at most 4 letters of
+    a word; a braid of label m needs m of them and keeps the support, so
+    m >= 5 never moves and w has the same words and classes at m = infinity
+    (reduced there, as W(inf) maps onto W(m)).  So graphs over {2, 3, 4,
+    inf} cover every label set; at ranks 2, 3, 4 their largest counts are
+    2, 3, 4, checked exhaustively by the tests.  Ranks >= 5 at e = 2, and
+    e >= 3, keep no bound.
     """
-    table = {(1, 1): (1, (), (1,))}
+    table = {(1, 1): (1, (), (1,))} if allow_gap or k == 1 else {}
     if not allow_gap and edge_labels and k <= max_rank:
         table[(k, k)] = (1, (edge_labels[0],) * (k * (k - 1) // 2), tuple(range(1, k + 1)))
-    max_enum = min(max_rank, k - 1)
-    by_rank = _connected_graphs_by_rank(max_enum, edge_labels, allow_gap, ticker)
-    for r in range(2, max_enum + 1):
-        for label_tuple in by_rank[r]:  # at length k a label m > k acts as infinity
+    ranks = _connected_graphs(edge_labels, allow_gap, ticker)
+    next(ranks)  # rank 1 is the (1, 1) entry
+    for r in range(2, min(max_rank, k - 1) + 1):
+        if 2 * r > max_rank and (best := _compose_parts(table, k, max_rank)) and all(
+                (bound := _class_bound(r, length)) and bound * rest[0] < best[0]
+                for length in range(r, k + 1)
+                if (rest := _compose_parts(table, k - length, max_rank - r))):
+            break
+        for label_tuple in next(ranks):  # at length k a label m > k acts as infinity
             graph = _graph_from_labels(r, [INFINITY if m > k else m for m in label_tuple])
             for length, (c, word) in _best_full_support_counts(
                     graph, k, ticker, memo_cap).items():
-                if c > table.get((r, length), (0,))[0]:  # labels ascend: a tie keeps the least
-                    table[(r, length)] = (c, label_tuple, word)
-    return table if allow_gap else {key: entry for key, entry in table.items() if key[1] == k}
+                if (allow_gap or length == k) and c > table.get((r, length), (0,))[0]:
+                    table[(r, length)] = (c, label_tuple, word)  # labels ascend: a tie keeps the least
+    return table
 
 
 def _compose_parts(table, k, max_rank):
@@ -254,7 +292,12 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     max_rank may not exceed k, since a reduced word of length k uses at
     most k distinct generators.  The search decomposes supports into
     connected components (class counts multiply across commuting parts),
-    so the heavy enumeration stops at rank k-1.  The witness word is the
+    so the heavy enumeration stops at rank k-1.  A connected part of rank r
+    and length r, r + 1 or r + 2 has at most 1, 2 or (r <= 4) r classes, so
+    a layer that cannot beat the lower ranks is skipped (the proofs and the
+    rule are in ``_single_component_table``): it spends no budget step and
+    holds no memo entry, so a capped search may answer where a full one
+    stops, and values and witnesses stay the same.  The witness word is the
     least reduced word of its element: each part's word is least, the parts
     commute, and their letters lie in increasing blocks, so taking the least
     left descent each time reads the parts' words in turn.

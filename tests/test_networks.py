@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import pickle
 import random
 import time
@@ -372,3 +373,111 @@ def test_excess_one_has_at_most_two_classes(max_rank, edge_labels, graphs):
             assert c == oracle_reduced(graph, word)[1] <= 2
             best = max(best, c)
     assert best == 2
+
+
+@pytest.mark.parametrize("max_rank, edge_labels, graphs", [
+    (4, [3, 4, INFINITY], 269), (3, [3, 4, 5, 6, INFINITY], 55)],
+    ids=["rank4-2-3-4-inf", "rank3-2-3-4-5-6-inf"])
+def test_class_bounds_are_the_exhaustive_maxima(max_rank, edge_labels, graphs):
+    # the skip's bounds at excess e = 0, 1, 2 (length r + e on a connected
+    # rank-r support) are attained and never passed: a label m >= 5 never
+    # moves at excess 2, so {2, 3, 4, inf} covers every label set there
+    by_rank = _connected_graphs_by_rank(max_rank, edge_labels, True, _Ticker(10 ** 9))
+    assert sum(len(by_rank[r]) for r in range(2, max_rank + 1)) == graphs
+    for r in range(2, max_rank + 1):
+        best = {}
+        for label_tuple in by_rank[r]:
+            graph = _graph_from_labels(r, label_tuple)
+            for length, (c, word) in _best_full_support_counts(
+                    graph, r + 2, _Ticker(10 ** 9), None).items():
+                assert c == oracle_reduced(graph, word)[1]
+                best[length] = max(best.get(length, 0), c)
+        assert best == {r + e: networks._class_bound(r, r + e) for e in range(3)}
+    assert [networks._class_bound(r, r + 2) for r in range(2, 5)] == [2, 3, 4]
+    assert networks._class_bound(5, 7) is None and networks._class_bound(2, 5) is None
+
+
+@pytest.fixture
+def grown(monkeypatch):
+    # the graphs whose elements the search grows, one per call
+    graphs = []
+    counts = networks._best_full_support_counts
+    monkeypatch.setattr(networks, "_best_full_support_counts",
+                        lambda *args: graphs.append(args[0]) or counts(*args))
+    return graphs
+
+
+def test_layer_skip_changes_no_answer(monkeypatch, grown):
+    # the bounds only skip layers that cannot reach the best so far, so with
+    # no bound at all every search on the grid answers the same, but grows
+    # more graphs
+    grid = [(k, labels, max_rank)
+            for labels in ({3}, {3, INFINITY}, {3, 4}, {4, INFINITY}, {2, 3, INFINITY},
+                           {2, 3, 4, INFINITY}, {2, 4}, {2, 5, INFINITY})
+            for k in range(1, 7) for max_rank in range(1, min(k, 4) + 1)]
+
+    def answers():
+        grown.clear()
+        out = []
+        for k, labels, max_rank in grid:
+            try:
+                out.append(search_M(k, labels, max_rank))
+            except ValueError as error:
+                out.append(str(error))
+        return out, len(grown)
+
+    skipped, skipped_grown = answers()
+    # without label 2 no parts commute: the witness graph is complete
+    for (_k, labels, _max_rank), result in zip(grid, skipped):
+        if 2 not in labels and isinstance(result, SearchResult):
+            rank = result.graph.rank
+            assert len(result.graph.edges()) == rank * (rank - 1) // 2
+    monkeypatch.setattr(networks, "_class_bound", lambda rank, length: None)
+    unbounded, unbounded_grown = answers()
+    assert unbounded == skipped and unbounded_grown > skipped_grown
+
+
+@pytest.mark.parametrize("bounds, graphs", [(True, 19), (False, 269)])
+def test_class_search_skips_the_rank_4_layer(monkeypatch, grown, bounds, graphs):
+    # search_M(6, {2, 3, 4, inf}, 4): ranks <= 3 give 8, and a rank-4 part
+    # of length 6 (excess 2) has at most 4 classes, with nothing beside it
+    if not bounds:
+        monkeypatch.setattr(networks, "_class_bound", lambda rank, length: None)
+    result = search_M(6, {2, 3, 4, INFINITY}, 4)
+    assert (result.value, result.word) == (8, (1, 2, 3, 1, 2, 3))
+    assert len(grown) == graphs
+    assert {graph.rank for graph in grown} == ({2, 3} if bounds else {2, 3, 4})
+
+
+def test_skipped_layer_spends_no_budget(monkeypatch):
+    # the rank-4 layer is neither listed nor grown, so a budget that the
+    # full search passes is enough for the answer
+    assert search_M(6, {2, 3, 4, INFINITY}, 4, budget=2000).value == 8
+    monkeypatch.setattr(networks, "_class_bound", lambda rank, length: None)
+    with pytest.raises(BudgetError, match="^search budget exhausted$"):
+        search_M(6, {2, 3, 4, INFINITY}, 4, budget=2000)
+
+
+def test_m6_over_every_coxeter_group():
+    # labels {2, ..., 6, inf} are complete at length 6, and the excess bounds
+    # skip ranks 4 and 5, which cannot beat the 8 that ranks <= 3 give
+    result = search_M(6, {2, 3, 4, 5, 6, INFINITY}, 6)
+    assert result == SearchResult(8, CoxeterGraph(3, [(1, 3, 3), (2, 3, 3)]), (1, 2, 3, 1, 2, 3))
+    assert oracle_reduced(result.graph, result.word)[1] == 8
+
+
+@pytest.mark.skipif(os.environ.get("WORDPOSETS_STRETCH") != "1",
+                    reason="M(7) on {2, 3, inf} takes about 10 s; set WORDPOSETS_STRETCH=1")
+def test_m7_on_two_three_infinity():
+    # ranks <= 5 give 8; a rank-6 part of length 7 has at most 2 classes
+    result = search_M(7, {2, 3, INFINITY})
+    assert result == SearchResult(8, CoxeterGraph(4, [(2, 4, 3), (3, 4, 3)]), (1, 2, 3, 4, 2, 3, 4))
+    assert oracle_reduced(result.graph, result.word)[1] == 8
+
+
+def test_a_layer_that_only_ties_the_best_is_grown(grown):
+    # search_M(4, {2, 3, inf}, 3): ranks <= 2 give 2 (a singleton beside
+    # 1 2 1), and a rank-3 part of length 4 (excess 1) has at most 2 classes;
+    # a tie could win the least-parts tie-break, so the layer is grown
+    assert search_M(4, {2, 3, INFINITY}, 3).value == 2
+    assert 3 in {graph.rank for graph in grown}
