@@ -399,18 +399,36 @@ def step_state(graph, state, a):
     return tuple(y)
 
 
+def descent_reader(graph):
+    """The left descents of a state as a bit set, bit a for generator a, each
+    sign exact: y_j is never 0, as a root is one-signed and <alpha_i, rho> = 1.
+    At d = 1 it reads y_j's sign; at d = 2 (L = 5) y = a + b phi has the sign of
+    s = 2a + b if s^2 > 5 b^2, else of b.  Both are compiled once per (rank,
+    d), at most 64 generators to a function; past d = 2, ``_negative`` decides."""
+    n, d = graph.rank, graph.state_degree
+    if d > 2:
+        return lambda state: sum(2 << j for j in range(n) if _negative(graph, state[j * d:j * d + d]))
+    return _compiled_reader(n, d)
+
+
+@functools.cache
+def _compiled_reader(n, d):
+    if n > 64:  # joined from blocks of 64 generators, so that no compile holds much memory
+        parts = [(j, _compiled_reader(min(n - j, 64), d)) for j in range(0, n, 64)]
+        return lambda state: sum(read(state[j * d:(j + 64) * d]) << j for j, read in parts)
+    sign = "y{0}" if d == 1 else "(s if (s := y{0} + y{0} + y{1}) * s > 5 * y{1} * y{1} else y{1})"
+    exec(f"def read(state):\n {''.join(f'y{k}, ' for k in range(n * d))}= state\n return " + " + ".join(
+        f"({2 << j} if {sign.format(d * j, d * j + 1)} < 0 else 0)" for j in range(n)), scope := {})
+    return scope["read"]
+
+
+_ascending = functools.lru_cache(maxsize=1 << 12)(  # a descent bit set's letters, one tuple each
+    lambda bits: tuple(a for a in range(1, bits.bit_length()) if bits >> a & 1))
+
+
 def state_descents(graph, state):
-    """Left descents of the element held in ``state``, ascending, each sign
-    decided exactly: y_j is never 0, as a root is one-signed and <alpha_i,
-    rho> = 1.  For L = 5, y = a + b phi has the sign of s = 2a + b if s^2 >
-    5 b^2, else of b; past that, ``_negative`` decides."""
-    d = graph.state_degree
-    if d == 1:
-        return tuple([j for j, y in enumerate(state, 1) if y < 0])
-    if d == 2:
-        return tuple([j for j, (a, b) in enumerate(zip(state[::2], state[1::2]), 1)
-                      if (s if (s := a + a + b) * s > 5 * b * b else b) < 0])
-    return tuple([j for j in graph.generators if _negative(graph, state[(j - 1) * d:j * d])])
+    """Left descents of ``state``, ascending: ``descent_reader``'s bit set as a tuple."""
+    return _ascending(descent_reader(graph)(state))
 
 
 def _negative(graph, coeffs):
@@ -468,9 +486,9 @@ def _scan(graph, word):
     state of the inverse of the reduced prefix so far; a letter that is a left
     descent of that inverse ends the scan at ``prefix``, the shortest prefix
     that is not reduced, else None and ``state`` is that of w^-1."""
-    word, state = _check_word(graph, word), element_state(graph)
+    word, state, read = _check_word(graph, word), element_state(graph), descent_reader(graph)
     for t, a in enumerate(word):
-        if a in state_descents(graph, state):
+        if read(state) >> a & 1:
             return word, state, word[:t + 1]
         state = step_state(graph, state, a)
     return word, state, None

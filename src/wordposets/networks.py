@@ -214,6 +214,8 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
     with m = 3 fits; the interval between the two copies is fixed within a
     class, so a class has at most one braid neighbour, braid moves connect
     the classes (Matsumoto), and such a graph has at most 2 vertices.
+    Without label 3 no braid move fits at e = 1, as a label m >= 4 needs
+    both of its letters twice, so such a part has 1 class, as at e = 0.
     e = 2: each support letter occurs, so a pair holds at most 4 letters of
     a word; a braid of label m needs m of them and keeps the support, so
     m >= 5 never moves and w has the same words and classes at m = infinity
@@ -229,7 +231,8 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
     next(ranks)  # rank 1 is the (1, 1) entry
     for r in range(2, min(max_rank, k - 1) + 1):
         if 2 * r > max_rank and (best := _compose_parts(table, k, max_rank)) and all(
-                (bound := _class_bound(r, length)) and bound * rest[0] < best[0]
+                (bound := _class_bound(r, length - (length == r + 1 and 3 not in edge_labels)))
+                and bound * rest[0] < best[0]
                 for length in range(r, k + 1)
                 if (rest := _compose_parts(table, k - length, max_rank - r))):
             break

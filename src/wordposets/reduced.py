@@ -26,7 +26,7 @@ import itertools
 import operator
 
 from .alphabet import CommutationAlphabet
-from .coxeter import CanonicalElement, _Record, _require_reduced, element_state, state_descents, step_state
+from .coxeter import CanonicalElement, _Record, _ascending, _require_reduced, descent_reader, element_state, step_state
 # not called here; bound for bench/tracing.py's per-layer table
 from .coxeter import canonical_form, delete_left_descent, descents_from_inverse  # noqa: F401
 from .coxeter import inverse_columns, matrix_key  # noqa: F401
@@ -43,8 +43,6 @@ __all__ = [
 
 DEFAULT_MEMO_CAP = 1_000_000
 DEFAULT_MAX_REDUCED_WORDS = 10 ** 6
-# a descent tuple, held once, with the bit set of its letters
-_kinds = functools.lru_cache(maxsize=1 << 12)(lambda ds: (ds, sum(1 << a for a in ds)))
 
 
 class WPSet(_Record):
@@ -383,8 +381,9 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     W_J, below) that ``admit(value, ups)`` keeps of u's ascents ``ups``,
     listed once per descent tuple; it reads u's value as it is, changes no
     ``ups`` and must keep every suffix of a kept element.  A level is read,
-    yielded, then grown; its descent read must confirm the links, else
-    SignToleranceError, and sets each value from that of a*u, a least in D(u).
+    yielded, then grown; its descent read, one ``descent_reader`` pass, must
+    confirm the links, else SignToleranceError, and each value is set from
+    that of a*u, a least in D(u).
     With ``memo`` (cap, depth, what), a level grows only within the cap less
     the last ``depth`` levels, which the caller holds, else BudgetError.
 
@@ -393,8 +392,9 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     len(word) steps, else SignToleranceError.  If each letter of w's support J
     is a right descent, w = w0(J) and [e, w] = W_J: u maps to None and every
     ascent is kept.  Else u maps to the state of u*w^-1 = a*(a*u*w^-1), and
-    ``admit`` keeps the left descents of u*w^-1, each an ascent of u: with w
-    = v*u reduced, a right descent a of v makes a*u a reduced suffix of w.
+    its up-steps are the left descents of u*w^-1, read in place of ``admit``,
+    each an ascent of u: with w = v*u reduced, a right descent a of v makes
+    a*u a reduced suffix of w.
     With the ``flip`` of an involution sigma fixing w (if given), a level
     keeps the lesser state of each orbit: a child c = a*r with flip(c) < c is
     kept as flip(c), linked under sigma(a) to flip(r), and a fixed one under
@@ -402,49 +402,51 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     words of u and sigma(u), and ``admit`` must commute with sigma.
     """
     top = element_state(graph, word[::-1]) if top is None and word is not None else top
-    whole = top is not None and state_descents(graph, top) == (support := tuple(sorted(set(word))))
+    read, step, support = descent_reader(graph), step_state, sorted(set(word or ()))
+    whole = top is not None and read(top) == sum(1 << a for a in support)
     gens, m, sigma = support if whole else graph.generators, graph.rank + 1, flip and _sigma(graph, flip)
-    admit = admit if top is None or whole else lambda value, _ups: state_descents(graph, value)
+    strict = top is not None and not whole  # up-steps: the descents of u*w^-1
     blank = [0] + [-1] * graph.rank  # slot 0 gathers the bits of the link letters
     level, links, length = {element_state(graph): top or (((), ()) if sigma else ())}, blank[:], 0
     asc = {}  # descent tuple -> its ascents, the letters of ``gens`` not in it
     (cap, depth, what), sizes = memo, []  # the sizes of the last ``depth`` levels yielded
     while level:
+        if list(map(read, level)) != (bits := links[::m]):  # the level in one pass
+            raise SignToleranceError("descent read disagrees with the growth links")
+        links[::m] = map(_ascending, bits)
         for b, key in zip(range(0, len(links), m), level):
-            ds, bits = _kinds(tuple(state_descents(graph, key)))
-            if links[b] != bits:
-                raise SignToleranceError("descent read disagrees with the growth links")
-            links[b] = ds
             if whole:
                 level[key] = None
-            elif ds:  # the value through the least left descent
+            elif ds := links[b]:  # the value through the least left descent
                 a, code = ds[0], links[b + ds[0]]
                 if top is not None:
-                    level[key] = step_state(
-                        graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
+                    level[key] = step(graph, flip(values[code >> 1]) if code & 1 else values[code >> 1], a)
                 elif not sigma:
                     level[key] = (a,) + values[code >> 1]
                 else:  # sigma(u)'s word: x = min sigma(ds), then sigma(s*u)'s, s = sigma(x)
                     t = links[b + sigma[x := min(map(sigma.__getitem__, ds))]]
                     level[key] = ((a,) + values[code >> 1][code & 1], (x,) + values[t >> 1][~t & 1])
-        values = None  # the level below goes before the caller folds this one
+        bits = values = None  # the level below goes before the caller folds this one
         yield level, links
         if max_length is not None and length >= max_length:
             return
-        setdefault, up, values = (ids := {}).setdefault, [], None if whole else list(level.values())
+        setdefault, up, values, n = (ids := {}).setdefault, [], None if whole else list(level.values()), 0
         room = cap - sum(sizes := (sizes + [len(level)])[-depth:])  # less what the caller holds
+        ends = None if top is None else length == len(word)  # whether [e, w] ends on this level
         for i, (key, value) in enumerate(level.items()):
-            steps = admit(value, asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d]))
-            if top is not None and (bool(steps) != (length < len(word)) or not steps and len(level) > 1):
+            steps = _ascending(read(value)) if strict else \
+                admit(value, asc.get(d := links[i * m]) or asc.setdefault(d, [a for a in gens if a not in d]))
+            if bool(steps) == ends or ends and len(level) > 1:
                 raise SignToleranceError("lower interval does not end at the element")
             own, mirror = 2 * i, 2 * i + 1  # one code object per parent, not per link
             for a in steps:
-                child, code = step_state(graph, key, a), own
+                child, code = step(graph, key, a), own
                 if flip and (image := flip(child)) < child:
                     child, a, code = image, sigma[a], mirror
-                if (c := setdefault(child, n := len(ids))) == n:
+                if (c := setdefault(child, n)) == n:
                     if n >= room:
                         raise BudgetError(f"{what} memo exceeds {cap} entries")
+                    n += 1
                     up += blank
                 c *= m
                 up[c + a], up[c] = code, up[c] | 1 << a

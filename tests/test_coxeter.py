@@ -40,6 +40,7 @@ from wordposets import coxeter, networks, reduced
 from wordposets.coxeter import (
     _column_sign,
     apply_generator,
+    descent_reader,
     descents_from_inverse,
     element_state,
     inverse_columns,
@@ -627,6 +628,69 @@ def test_ring_state_matches_growth_series_and_column_matrix(graph, series, colum
             assert state == element_state(graph, word)
             assert state_descents(graph, state) == \
                 tuple(descents_from_inverse(graph, inverse_columns(graph, word)))
+
+
+@pytest.mark.parametrize("graph, max_length, elements", [
+    (H3, None, 120), (F4, None, 1152), (B4, None, 384), (D4, None, 192),
+    (H4, 20, sum(poincare_polynomial((2, 12, 20, 30))[:21]))], ids=["H3", "F4", "B4", "D4", "H4"])
+def test_descent_reader_matches_the_column_calculus(graph, max_length, elements):
+    # the compiled reader's bit set, at degree 1 and at degree 2 (H3, H4),
+    # against the float column calculus on every element grown
+    read, seen = descent_reader(graph), 0
+    for level, _links in _levels(graph, max_length):
+        for state, word in level.items():
+            columns = descents_from_inverse(graph, inverse_columns(graph, word))
+            assert read(state) == sum(1 << a for a in columns)
+            seen += 1
+    assert seen == elements
+
+
+@pytest.mark.parametrize("label", [3, 5], ids=["degree-1", "degree-2"])
+def test_descent_reader_past_64_generators_joins_its_blocks(label):
+    # a rank-150 reader reads generators 1-64, 65-128 and 129-150 by three
+    # compiled functions; random words across the block ends, against the
+    # column calculus
+    graph = CoxeterGraph(150, [(i, i + 1, label if i == 64 else 3) for i in range(60, 149)])
+    read, rng = descent_reader(graph), random.Random(150)
+    letters = [1, 2, 62, 63, 64, 65, 66, 67, 126, 127, 128, 129, 130, 148, 149, 150]
+    for _ in range(60):
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(12)))
+        columns = descents_from_inverse(graph, inverse_columns(graph, word))
+        assert read(element_state(graph, word)) == sum(1 << a for a in columns)
+
+
+def test_descent_reader_matches_a_per_block_reference_at_degree_12():
+    # labels 7 and 5: L = 35, d = 12, past the compiled degrees; every
+    # element up to length 8, read block by block through ``_negative``
+    graph = CoxeterGraph(3, [(1, 2, 7), (2, 3, 5)])
+    read, d, sizes = descent_reader(graph), graph.state_degree, []
+    assert d == 12
+    for level, _links in _levels(graph, 8):
+        for state in level:
+            assert read(state) == sum(1 << j for j in graph.generators
+                                      if coxeter._negative(graph, state[(j - 1) * d:j * d]))
+        sizes.append(len(level))
+    parabolics = [(0, ())] + [(1, (2,))] * 3 + [(2, (2, 7)), (2, (2, 5)), (2, (2, 2))]
+    assert sizes == steinberg_series(parabolics, 8)
+
+
+def test_degree_2_reader_follows_the_integer_square_rule():
+    # for y = a + b phi, phi = 2 cos(pi / 5) = (1 + sqrt 5) / 2, 2y = s + b
+    # sqrt 5 with s = 2a + b: y has the sign of s if s^2 > 5 b^2, else of b.
+    # y = F(n+1) - F(n) phi = (-1/phi)^n cancels nearly, with sign (-1)^n
+    fib = [0, 1]
+    while len(fib) < 82:
+        fib.append(fib[-1] + fib[-2])
+    read = descent_reader(H3)
+    for n in range(81):
+        a, b = fib[n + 1], -fib[n]
+        s = 2 * a + b
+        negative = (s if s * s > 5 * b * b else b) < 0
+        assert negative == (n % 2 == 1)
+        for j in range(3):
+            state = [1, 0] * 3
+            state[2 * j:2 * j + 2] = a, b
+            assert read(tuple(state)) == (2 << j if negative else 0)
 
 
 FLOAT_CALCULUS = ("apply_generator", "_column_sign", "matrix_key", "inverse_columns",

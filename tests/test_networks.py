@@ -340,11 +340,15 @@ def test_dropped_descent_read_raises_in_search(monkeypatch):
     # a descent lost by the read (here only where another one is left, so
     # the read is never empty) disagrees with the element it was grown
     # from; the search must refuse rather than count a misread element
-    def read(graph, state):
-        ds = coxeter.state_descents(graph, state)
-        return ds[1:] if len(ds) > 1 else ds
+    def reader(graph):
+        read = coxeter.descent_reader(graph)
 
-    monkeypatch.setattr(reduced, "state_descents", read)
+        def dropped(state):
+            bits = read(state)
+            return bits & bits - 1 or bits
+        return dropped
+
+    monkeypatch.setattr(reduced, "descent_reader", reader)
     with pytest.raises(SignToleranceError):
         search_M(4)
 
@@ -456,6 +460,15 @@ def test_skipped_layer_spends_no_budget(monkeypatch):
     monkeypatch.setattr(networks, "_class_bound", lambda rank, length: None)
     with pytest.raises(BudgetError, match="^search budget exhausted$"):
         search_M(6, {2, 3, 4, INFINITY}, 4, budget=2000)
+
+
+@pytest.mark.parametrize("labels", [{2, 4, 5, 6}, {4, 5, 6, INFINITY}], ids=["2-4-5-6", "4-5-6-inf"])
+def test_excess_1_bound_reads_the_labels(labels):
+    # without label 3 no braid move fits at excess 1, so a rank-5 part of
+    # length 6 has 1 class and cannot tie the 2 of the lower ranks: the
+    # rank-5 layer is skipped, and the search answers within the budget
+    result = search_M(6, labels, 5, budget=3_000_000)
+    assert result.value == 2 == oracle_reduced(result.graph, result.word)[1]
 
 
 def test_m6_over_every_coxeter_group():

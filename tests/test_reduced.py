@@ -285,7 +285,7 @@ def test_class_count_invariant_under_inversion(graph, order):
 def test_empty_descent_read_off_non_identity_raises(monkeypatch):
     # only the identity has no left descent; reading none elsewhere means a
     # sign was misread, which must not pass for a leaf of the recursion
-    monkeypatch.setattr(reduced, "state_descents", lambda graph, state: [])
+    monkeypatch.setattr(reduced, "descent_reader", lambda graph: lambda state: 0)
     with pytest.raises(SignToleranceError):
         count_classes(S4, W0_S4)
     with pytest.raises(SignToleranceError):
@@ -296,17 +296,39 @@ def test_dropped_descent_read_raises_in_counters(monkeypatch):
     # a descent lost by the read (here only where another one is left, so
     # the read is never empty) disagrees with the links the interval was
     # grown by; both recursions must refuse rather than count fewer classes
-    state_descents = reduced.state_descents
+    descent_reader = reduced.descent_reader
 
-    def read(graph, state):
-        ds = state_descents(graph, state)
-        return ds[1:] if len(ds) > 1 else ds
+    def reader(graph):
+        read = descent_reader(graph)
 
-    monkeypatch.setattr(reduced, "state_descents", read)
+        def dropped(state):
+            bits = read(state)
+            return bits & bits - 1 or bits
+        return dropped
+
+    monkeypatch.setattr(reduced, "descent_reader", reader)
     with pytest.raises(SignToleranceError):
         count_classes(S4, W0_S4)
     with pytest.raises(SignToleranceError):
         wp_set(S4, W0_S4)
+
+
+def test_misread_below_the_top_of_w_j_raises(monkeypatch):
+    # s1 s3 has two descents and is fixed by the diagram flip of S4; a read
+    # that drops its least descent there alone leaves the top state's read,
+    # and so the W_J growth of w0, as it is: the level's own read must refuse
+    s1s3 = element_state(S4, (1, 3))
+    descent_reader = reduced.descent_reader
+
+    def reader(graph):
+        read = descent_reader(graph)
+        return lambda state: 0b1000 if state == s1s3 else read(state)
+
+    monkeypatch.setattr(reduced, "descent_reader", reader)
+    with pytest.raises(SignToleranceError):
+        count_classes(S4, W0_S4)
+    with pytest.raises(SignToleranceError):
+        count_reduced_words(S4, W0_S4)
 
 
 def test_interval_ending_at_two_elements_raises(monkeypatch):
@@ -314,12 +336,13 @@ def test_interval_ending_at_two_elements_raises(monkeypatch):
     # element; a read that adds descent 3 to s1 (the state of s2 * w^-1) and
     # none to s3 s1 grows a stray s3 s2 beside s1 s2 on the top level
     s1, s3s1 = element_state(S4, (1,)), element_state(S4, (3, 1))
-    state_descents = reduced.state_descents
+    descent_reader = reduced.descent_reader
 
-    def read(graph, state):
-        return (1, 3) if state == s1 else () if state == s3s1 else state_descents(graph, state)
+    def reader(graph):
+        read = descent_reader(graph)
+        return lambda state: 0b1010 if state == s1 else 0 if state == s3s1 else read(state)
 
-    monkeypatch.setattr(reduced, "state_descents", read)
+    monkeypatch.setattr(reduced, "descent_reader", reader)
     with pytest.raises(SignToleranceError):
         count_classes(S4, (1, 2))
     with pytest.raises(SignToleranceError):
