@@ -230,11 +230,11 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
     ranks = _connected_graphs(edge_labels, allow_gap, ticker)
     next(ranks)  # rank 1 is the (1, 1) entry
     for r in range(2, min(max_rank, k - 1) + 1):
-        if 2 * r > max_rank and (best := _compose_parts(table, k, max_rank)) and all(
+        cells = _compose_parts(table, k, max_rank) if 2 * r > max_rank else {}
+        if (best := cells.get((k, max_rank))) and all(
                 (bound := _class_bound(r, length - (length == r + 1 and 3 not in edge_labels)))
                 and bound * rest[0] < best[0]
-                for length in range(r, k + 1)
-                if (rest := _compose_parts(table, k - length, max_rank - r))):
+                for length in range(r, k + 1) if (rest := cells.get((k - length, max_rank - r)))):
             break
         for label_tuple in next(ranks):  # at length k a label m > k acts as infinity
             graph = _graph_from_labels(r, [INFINITY if m > k else m for m in label_tuple])
@@ -246,33 +246,30 @@ def _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_ca
 
 
 def _compose_parts(table, k, max_rank):
-    """Best product over multisets of connected parts with total length k
-    and total rank at most max_rank; parts commute across components, so
-    class counts multiply and lengths add."""
-    dp = {(0, 0): (1, ())}
+    """Cell (length, ranks) -> (product, sorted parts): the largest product,
+    then the least parts, over multisets of ``table``'s connected parts of
+    that total length and total rank at most ``ranks``; no multiset, no cell.
+    Parts commute across components, so class counts multiply and lengths add."""
+    dp = {(0, ranks): (1, ()) for ranks in range(max_rank + 1)}
     for length in range(1, k + 1):
-        for rank_used in range(1, max_rank + 1):
+        for ranks in range(1, max_rank + 1):
             options = [(prev[0] * c, tuple(sorted(prev[1] + ((r, part_len),))))
                        for (r, part_len), (c, _g, _w) in table.items()
-                       if part_len <= length and r <= rank_used
-                       and (prev := dp.get((length - part_len, rank_used - r)))]
+                       if part_len <= length and r <= ranks
+                       and (prev := dp.get((length - part_len, ranks - r)))]
             if options:  # the largest product, then the least parts
-                dp[(length, rank_used)] = min(options, key=lambda best: (-best[0], best[1]))
-    return min((dp[(k, r)] for r in range(max_rank + 1) if (k, r) in dp),
-               key=lambda best: (-best[0], best[1]), default=None)
+                dp[(length, ranks)] = min(options, key=lambda best: (-best[0], best[1]))
+    return dp
 
 
 def _combine_witness(table, parts):
     edges, word, offset = [], [], 0
     for r, part_len in parts:
         _c, label_tuple, part_word = table[(r, part_len)]
-        for (i, j), m in zip(_pair_order(r), label_tuple):
-            if m != 2:
-                edges.append((offset + i + 1, offset + j + 1, m))
+        edges += [(offset + i, offset + j, m) for i, j, m in _graph_from_labels(r, label_tuple).edges()]
         word.extend(offset + a for a in part_word)
         offset += r
-    graph = CoxeterGraph(max(offset, 1), edges)
-    return graph, tuple(word)
+    return CoxeterGraph(max(offset, 1), edges), tuple(word)
 
 
 def search_M(k: int, labels=None, max_rank: int | None = None, *,
@@ -326,7 +323,7 @@ def search_M(k: int, labels=None, max_rank: int | None = None, *,
     edge_labels = sorted(m for m in label_set if m != 2)
     allow_gap = 2 in label_set
     table = _single_component_table(k, edge_labels, allow_gap, max_rank, ticker, memo_cap)
-    composed = _compose_parts(table, k, max_rank)
+    composed = _compose_parts(table, k, max_rank).get((k, max_rank))
     if composed is None:
         raise ValueError(f"no element of length {k} within the search space")
     value, parts = composed

@@ -137,8 +137,6 @@ def _fold(graph, step, seed, depth, memo_cap, what, orbits=False, **growth):
     flip = orbits and next((f for f in _involutions(graph) if "word" not in growth or f(top) == top),
                            None)
     swap = (same := list(range(m)), _sigma(graph, flip) if flip else same)
-    if cap < 1:  # the identity's seed; the growth checks every later level as it grows
-        raise BudgetError(f"{what} memo exceeds {cap} entries")
     trail, window = [], []
     for level, links in _levels(graph, flip=flip, memo=(cap, depth, what), **growth):
         trail = (trail + [links])[-depth:]
@@ -410,6 +408,8 @@ def _levels(graph, max_length=None, admit=lambda value, ups: ups, word=None, fli
     level, links, length = {element_state(graph): top or (((), ()) if sigma else ())}, blank[:], 0
     asc = {}  # descent tuple -> its ascents, the letters of ``gens`` not in it
     (cap, depth, what), sizes = memo, []  # the sizes of the last ``depth`` levels yielded
+    if cap < 1:  # the identity's level; each later level is checked as it grows
+        raise BudgetError(f"{what} memo exceeds {cap} entries")
     while level:
         if list(map(read, level)) != (bits := links[::m]):  # the level in one pass
             raise SignToleranceError("descent read disagrees with the growth links")

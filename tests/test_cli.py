@@ -525,6 +525,23 @@ def test_calls_in_one_process_match_calls_alone(files, capsys, monkeypatch):
     assert cli._parser.cache_info().misses == 1
 
 
+def test_installed_entry_point_runs_main(tmp_path):
+    # ``python -m wordposets.cli`` calls ``cli.main``, the installed script
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    graph = tmp_path / "inf2a1.cox"
+    graph.write_text("generators: 3\nedge: 1 2 inf\n")
+
+    def main(*argv):
+        proc = subprocess.run([sys.executable, "-m", "wordposets.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        return proc.returncode, proc.stdout, proc.stderr
+    assert main("pn", "--n", "5") == (0, "62\n", "")
+    code, out, err = main("count-classes", "--graph", str(tmp_path / "missing.cox"), "--word", "1")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, err = main("enum-classes", "--graph", str(graph), "--word", "1 2 " * 33 + "3")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_parser_is_not_built_at_import():
     code = "from wordposets import cli, networks; print(cli._parser.cache_info().misses)"
     assert _python(code) == (0, "0\n", "")

@@ -494,3 +494,40 @@ def test_a_layer_that_only_ties_the_best_is_grown(grown):
     # a tie could win the least-parts tie-break, so the layer is grown
     assert search_M(4, {2, 3, INFINITY}, 3).value == 2
     assert 3 in {graph.rank for graph in grown}
+
+
+def _composed_by_brute_force(table, k, max_rank):
+    # every multiset of entries, the largest product first, then the least sorted parts
+    best = {}
+    for n in range(k + 1):
+        for parts in itertools.combinations_with_replacement(sorted(table), n):
+            length, rank = sum(p[1] for p in parts), sum(p[0] for p in parts)
+            value = (math.prod(table[p][0] for p in parts), parts)
+            for ranks in range(rank, max_rank + 1) if length <= k else ():
+                if (cur := best.get((length, ranks))) is None or (-value[0], value[1]) < (-cur[0], cur[1]):
+                    best[(length, ranks)] = value
+    return best
+
+
+def _hand_made(counts):
+    # larger parts first, so that keeping the first best product would not keep the least parts
+    return {part: (counts[part], (), ()) for part in sorted(counts, reverse=True)}
+
+
+@pytest.mark.parametrize("table, k, max_rank", [
+    (([3, 4, INFINITY], True), 6, 4),
+    (([3, INFINITY], True), 6, 6),
+    (([3, 4], False), 5, 5),
+    # a singleton beside (2, 3) ties (3, 4) at length 4, and its parts are less
+    (_hand_made({(1, 1): 1, (2, 3): 2, (2, 4): 1, (3, 4): 2, (3, 5): 4, (3, 6): 5, (4, 6): 6}), 8, 6),
+    # even lengths only, so no odd length composes; (1, 2) twice ties (2, 4)
+    (_hand_made({(1, 2): 2, (2, 2): 1, (2, 4): 4, (3, 4): 3, (3, 6): 8, (4, 8): 16}), 8, 7),
+], ids=["2-3-4-inf", "2-3-inf", "3-4", "ties", "even"])
+def test_composition_table_matches_brute_force(table, k, max_rank):
+    # each cell (length, ranks) is the best over all multisets of entries of
+    # that total length and total rank at most ranks; no other cell is held
+    if isinstance(table, tuple):  # the edge labels and gap of the table the search builds
+        table = networks._single_component_table(k, *table, max_rank, _Ticker(10 ** 9), None)
+    cells = networks._compose_parts(table, k, max_rank)
+    assert cells == _composed_by_brute_force(table, k, max_rank)
+    assert all(cells[(0, ranks)] == (1, ()) for ranks in range(max_rank + 1))

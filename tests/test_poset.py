@@ -147,6 +147,14 @@ def test_validate_reports_commuting_cover():
     assert any("condition (b)" in p for p in problems)
 
 
+def test_validate_reports_a_cyclic_order():
+    alpha = CommutationAlphabet("ab", [])
+    # a below b and b below a
+    poset = WordPoset(("a", "b"), (0b10, 0b01))
+    problems = validate(poset, alpha)
+    assert any(p.startswith("order: antisymmetry fails") for p in problems)
+
+
 def test_validate_reports_missing_transitivity():
     alpha = CommutationAlphabet("abc", [])
     # b above a, c above b, but c not recorded above a

@@ -657,6 +657,20 @@ def test_least_words_cap_counts_the_class_words_held():
         reduced.least_words(graph, word, memo_cap=163)
 
 
+@pytest.mark.parametrize("count, what, answer", [
+    (count_classes, "class-count", 1),
+    (count_reduced_words, "reduced-word", 1),
+    (reduced.least_words, "word-poset", [()]),
+    (lambda graph, word, memo_cap: list(wp_set(graph, word, memo_cap=memo_cap).posets), "word-poset", [()]),
+], ids=["count_classes", "count_reduced_words", "least_words", "wp_set"])
+def test_memo_cap_holds_at_the_identity(count, what, answer):
+    # the identity is one element with one class word: a cap of 0 holds
+    # nothing, so every counter and the listing refuse it, and 1 is enough
+    with pytest.raises(BudgetError, match=f"^{what} memo exceeds 0 entries$"):
+        count(A2, (), memo_cap=0)
+    assert count(A2, (), memo_cap=1) == answer
+
+
 # ------------------------------------------- fully commutative elements
 
 def _path(n, last=3):
